@@ -41,8 +41,9 @@ void to_ycbcr_into(const Image& img, YCbCrPlanes& out);
 /// target dimensions (or exceed them, for block-padded planes).
 Image to_rgb(const YCbCrPlanes& planes, int width, int height);
 
-/// Same transform from three individually owned planes (e.g. codec-context
-/// arenas that should not be gathered into a YCbCrPlanes by move).
+/// Same transform from three individually owned planes (e.g. decoded
+/// component planes). The JPEG decoder's colour row loop is tested against
+/// upsample_2x2 followed by this function.
 Image to_rgb(const PlaneF& y, const PlaneF& cb, const PlaneF& cr, int width, int height);
 
 }  // namespace dnj::image

@@ -18,6 +18,8 @@ void downsample_2x2_into(const PlaneF& plane, PlaneF& out);
 
 /// Bilinear 2x upsample to exactly (out_w, out_h), which must satisfy
 /// ceil(out_w/2) == plane.width() and ceil(out_h/2) == plane.height().
+/// The JPEG decoder runs the same arithmetic row by row (the simd
+/// upsample_h2_row and lerp_rows kernels); tests hold it to this function.
 PlaneF upsample_2x2(const PlaneF& plane, int out_w, int out_h);
 
 /// Nearest-neighbour resize to arbitrary dimensions (used by the dataset

@@ -6,8 +6,6 @@
 #include <string>
 
 #include "image/blocks.hpp"
-#include "image/color.hpp"
-#include "image/resample.hpp"
 #include "jpeg/bitio.hpp"
 #include "jpeg/block_coder.hpp"
 #include "jpeg/dct.hpp"
@@ -16,6 +14,7 @@
 #include "jpeg/zigzag.hpp"
 #include "obs/trace.hpp"
 #include "runtime/parallel.hpp"
+#include "simd/dispatch.hpp"
 
 namespace dnj::jpeg {
 
@@ -26,6 +25,10 @@ using image::PlaneF;
 
 [[noreturn]] void fail(const std::string& what) {
   throw std::runtime_error("jpeg::decode: " + what);
+}
+
+const float* plane_row(const PlaneF& plane, int y) {
+  return plane.data().data() + static_cast<std::size_t>(y) * plane.width();
 }
 
 struct FrameComponent {
@@ -228,33 +231,66 @@ class Parser {
       image::from_plane(ctx_.decode_planes[0], img, 0);
       return img;
     }
+    return reconstruct_colour();
+  }
 
-    // Upsample subsampled chroma to luma resolution.
-    const PlaneF& luma = ctx_.decode_planes[0];
-    auto upsample_if_needed = [&](PlaneF& p, const FrameComponent& c) {
-      if (c.h == info.max_h && c.v == info.max_v) return;
-      if (2 * c.h == info.max_h && 2 * c.v == info.max_v) {
-        // The subsampled plane may be padded past ceil(dim/2); crop-aware
-        // upsample to the luma padded size via bilinear on the useful area.
-        const int need_w = (info.width + 1) / 2;
-        const int need_h = (info.height + 1) / 2;
-        PlaneF cropped(need_w, need_h);
-        for (int y = 0; y < need_h; ++y)
-          for (int x = 0; x < need_w; ++x) cropped.at(x, y) = p.at(x, y);
-        PlaneF up = image::upsample_2x2(cropped, info.width, info.height);
-        // Re-pad to luma plane size for uniform indexing downstream.
-        PlaneF padded(luma.width(), luma.height(), 128.0f);
-        for (int y = 0; y < info.height; ++y)
-          for (int x = 0; x < info.width; ++x) padded.at(x, y) = up.at(x, y);
-        p = std::move(padded);
-        return;
+  /// Colour reconstruction as one row loop straight into the output image.
+  /// A full-resolution component feeds its plane row. A 2x2-subsampled
+  /// chroma component runs image::upsample_2x2's arithmetic in two passes:
+  /// each input row is upsampled horizontally once into a two-slot ring
+  /// (slot = row parity), and output row y blends its two ring rows
+  /// vertically. Those are upsample_2x2's float operations in its order,
+  /// followed by to_rgb's, so the pixels equal that composition's at every
+  /// SIMD level — tests keep it as the oracle.
+  image::Image reconstruct_colour() {
+    const int w = info.width;
+    const int h = info.height;
+    bool half[pipeline::kMaxComponents] = {};
+    for (std::size_t ci = 0; ci < comps.size(); ++ci) {
+      const FrameComponent& c = comps[ci];
+      if (c.h == info.max_h && c.v == info.max_v) continue;
+      if (ci == 0 || 2 * c.h != info.max_h || 2 * c.v != info.max_v)
+        fail("unsupported sampling factor combination");
+      half[ci] = true;
+    }
+    // A subsampled plane is padded past ceil(dim / 2); only that much of it
+    // is image.
+    const int in_w = (w + 1) / 2;
+    const int in_h = (h + 1) / 2;
+    // Per chroma component: two ring rows, then the blended row.
+    std::vector<float>& rows = ctx_.decode_rows;
+    rows.resize(static_cast<std::size_t>(6) * w);
+    int held[pipeline::kMaxComponents][2] = {{-1, -1}, {-1, -1}, {-1, -1}};
+    const simd::KernelTable& k = simd::kernels();
+    image::Image img(w, h, 3);
+    for (int y = 0; y < h; ++y) {
+      // upsample_2x2's vertical taps for output row y.
+      const int y0 = y == 0 ? 0 : (y - 1) / 2;
+      const int y1 = std::min(y0 + 1, in_h - 1);
+      const float wy = y == 0 ? 0.0f : (y % 2 == 1 ? 0.25f : 0.75f);
+      const float* src[pipeline::kMaxComponents];
+      for (std::size_t ci = 0; ci < comps.size(); ++ci) {
+        const PlaneF& plane = ctx_.decode_planes[ci];
+        if (!half[ci]) {
+          src[ci] = plane_row(plane, y);
+          continue;
+        }
+        float* ring = rows.data() + (ci - 1) * 3 * static_cast<std::size_t>(w);
+        for (const int r : {y0, y1}) {
+          if (held[ci][r % 2] == r) continue;
+          k.upsample_h2_row(plane_row(plane, r), in_w, w,
+                            ring + static_cast<std::size_t>(r % 2) * w);
+          held[ci][r % 2] = r;
+        }
+        float* blended = ring + static_cast<std::size_t>(2) * w;
+        k.lerp_rows(ring + static_cast<std::size_t>(y0 % 2) * w,
+                    ring + static_cast<std::size_t>(y1 % 2) * w, wy, w, blended);
+        src[ci] = blended;
       }
-      fail("unsupported sampling factor combination");
-    };
-    upsample_if_needed(ctx_.decode_planes[1], comps[1]);
-    upsample_if_needed(ctx_.decode_planes[2], comps[2]);
-    return image::to_rgb(luma, ctx_.decode_planes[1], ctx_.decode_planes[2], info.width,
-                         info.height);
+      k.ycbcr_to_rgb_row(src[0], src[1], src[2], w,
+                         img.data().data() + static_cast<std::size_t>(y) * w * 3);
+    }
+    return img;
   }
 
  private:

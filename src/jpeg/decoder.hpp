@@ -29,11 +29,18 @@ struct JpegInfo {
 };
 
 /// Decodes a complete JFIF stream. Throws std::runtime_error on malformed
-/// input. The context-taking overload decodes through the caller's arenas
-/// (coefficient stores, dequantized planes) with batched dequantize + IDCT;
-/// the other uses the calling thread's shared context. ByteSpan converts
-/// implicitly from std::vector<uint8_t>; callers holding mapped or foreign
-/// buffers pass {ptr, size} without a copy.
+/// input and on colour sampling layouts it cannot rebuild: a component at
+/// the frame's maximum sampling feeds its plane, a chroma component at
+/// exactly half the maximum on both axes is upsampled 2x2, and anything
+/// else (subsampled luma, chroma halved on one axis only) throws. The
+/// context-taking overload decodes through the caller's arenas (coefficient
+/// stores, dequantized planes, the chroma row ring) with batched dequantize
+/// + IDCT; the other uses the calling thread's shared context. Colour frames
+/// are rebuilt row by row straight into the returned Image, so on a warm
+/// context that Image is the only allocation that grows with the image. The
+/// pixels are byte-identical to image::upsample_2x2 + image::to_rgb over the
+/// decoded planes. ByteSpan converts implicitly from std::vector<uint8_t>;
+/// callers holding mapped or foreign buffers pass {ptr, size} without a copy.
 ///
 /// Streams with restart intervals decode their independent restart segments
 /// on runtime::parallel_for; `num_threads` follows the usual knob semantics

@@ -8,9 +8,10 @@
 //    them reshape in place. A warm context *encodes* a stream of
 //    same-sized images with zero per-block and zero per-image allocations
 //    (the returned byte vector aside). Decode batches through the same
-//    arenas with no per-block allocations, but the 4:2:0 chroma-upsample
-//    path still builds per-image plane temporaries (and the decoded Image
-//    is always freshly allocated).
+//    arenas, and colour reconstruction runs row by row through a small
+//    chroma row ring (`decode_rows`), so once warm the returned Image is
+//    its only allocation that grows with the image; header parsing adds a
+//    few small ones of fixed size.
 //  * the static (Annex K.3) Huffman specs and their derived encoder tables,
 //    built once per context instead of once per image — dataset-level
 //    callers with optimize_huffman off no longer re-derive them per image.
@@ -29,6 +30,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "image/color.hpp"
 #include "jpeg/huffman.hpp"
@@ -97,6 +99,7 @@ class CodecContext {
   std::array<QuantPlane, kMaxComponents> decode_coeffs;  ///< natural-order int16
   CoeffPlane decode_fp;                                  ///< dequantized floats
   std::array<image::PlaneF, kMaxComponents> decode_planes;
+  std::vector<float> decode_rows;  ///< colour-reconstruction chroma row ring
 
  private:
   std::optional<StaticHuffman> static_huffman_;

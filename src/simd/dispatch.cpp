@@ -54,6 +54,8 @@ void overlay(KernelTable& dst, const KernelTable& src) {
   if (src.untile_f32) dst.untile_f32 = src.untile_f32;
   if (src.rgb_to_ycbcr) dst.rgb_to_ycbcr = src.rgb_to_ycbcr;
   if (src.ycbcr_to_rgb_row) dst.ycbcr_to_rgb_row = src.ycbcr_to_rgb_row;
+  if (src.upsample_h2_row) dst.upsample_h2_row = src.upsample_h2_row;
+  if (src.lerp_rows) dst.lerp_rows = src.lerp_rows;
   if (src.f32_to_u8_row) dst.f32_to_u8_row = src.f32_to_u8_row;
   if (src.sum_sq_diff_u8) dst.sum_sq_diff_u8 = src.sum_sq_diff_u8;
   if (src.quant_error_block) dst.quant_error_block = src.quant_error_block;

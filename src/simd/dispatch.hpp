@@ -77,9 +77,19 @@ struct KernelTable {
   void (*rgb_to_ycbcr)(const std::uint8_t* rgb, std::size_t n, float* y, float* cb,
                        float* cr);
   /// One row of planar float Y/Cb/Cr -> interleaved RGB u8 with the
-  /// clamp_u8 rounding rule (nearbyint, clamp to [0, 255]).
+  /// clamp_u8 rounding rule (nearbyint, clamp to [0, 255]). Writes exactly
+  /// 3 * n bytes.
   void (*ycbcr_to_rgb_row)(const float* y, const float* cb, const float* cr, int n,
                            std::uint8_t* rgb);
+  /// Horizontal half of image::upsample_2x2 on one row: `in_w` samples ->
+  /// `out_w` samples, with (out_w + 1) / 2 == in_w. out[x] = in[x0] *
+  /// (1 - wx) + in[x1] * wx with upsample_2x2's taps: weights 1/0 at x = 0,
+  /// 0.25/0.75 at even x, 0.75/0.25 at odd x, x1 clamped to in_w - 1.
+  /// Never reads past in[in_w - 1].
+  void (*upsample_h2_row)(const float* in, int in_w, int out_w, float* out);
+  /// Vertical half of image::upsample_2x2: out[i] = top[i] * (1 - wy) +
+  /// bot[i] * wy over `n` samples.
+  void (*lerp_rows)(const float* top, const float* bot, float wy, int n, float* out);
   /// One row of floats -> u8 with the clamp_u8 rounding rule, unit stride.
   void (*f32_to_u8_row)(const float* src, int n, std::uint8_t* dst);
   /// Exact integer sum of squared differences over two u8 buffers.

@@ -33,6 +33,13 @@ struct V8 {
   static V8 load(const float* p) { return {_mm256_loadu_ps(p)}; }
   static V8 set1(float x) { return {_mm256_set1_ps(x)}; }
   void store(float* p) const { _mm256_storeu_ps(p, v); }
+  /// Stores a0 b0 a1 b1 ... a7 b7.
+  static void store_interleaved(float* p, V8 a, V8 b) {
+    const __m256 lo = _mm256_unpacklo_ps(a.v, b.v);  // a0 b0 a1 b1 | a4 b4 a5 b5
+    const __m256 hi = _mm256_unpackhi_ps(a.v, b.v);  // a2 b2 a3 b3 | a6 b6 a7 b7
+    _mm256_storeu_ps(p, _mm256_permute2f128_ps(lo, hi, 0x20));
+    _mm256_storeu_ps(p + 8, _mm256_permute2f128_ps(lo, hi, 0x31));
+  }
   friend V8 operator+(V8 a, V8 b) { return {_mm256_add_ps(a.v, b.v)}; }
   friend V8 operator-(V8 a, V8 b) { return {_mm256_sub_ps(a.v, b.v)}; }
   friend V8 operator*(V8 a, V8 b) { return {_mm256_mul_ps(a.v, b.v)}; }
@@ -271,6 +278,23 @@ inline __m256i clamp_u8_vec(__m256 v) {
   return _mm256_cvtps_epi32(v);
 }
 
+// Interleaves eight pixels' R/G/B lanes (int32, already in [0, 255]) into
+// 24 bytes without leaving registers: one 0x00BBGGRR word per pixel, the
+// zero bytes dropped within each 128-bit lane, then the gap between the
+// lanes closed so dwords 0-5 hold the 24 bytes.
+inline void store_rgb8(std::uint8_t* rgb, __m256i r, __m256i g, __m256i b) {
+  const __m256i px = _mm256_or_si256(
+      r, _mm256_or_si256(_mm256_slli_epi32(g, 8), _mm256_slli_epi32(b, 16)));
+  const __m256i squeeze =
+      _mm256_setr_epi8(0, 1, 2, 4, 5, 6, 8, 9, 10, 12, 13, 14, -1, -1, -1, -1,  //
+                       0, 1, 2, 4, 5, 6, 8, 9, 10, 12, 13, 14, -1, -1, -1, -1);
+  const __m256i packed = _mm256_permutevar8x32_epi32(
+      _mm256_shuffle_epi8(px, squeeze), _mm256_setr_epi32(0, 1, 2, 4, 5, 6, 3, 7));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(rgb), _mm256_castsi256_si128(packed));
+  _mm_storel_epi64(reinterpret_cast<__m128i*>(rgb + 16),
+                   _mm256_extracti128_si256(packed, 1));
+}
+
 void ycbcr_to_rgb_row_avx2(const float* y, const float* cb, const float* cr, int n,
                            std::uint8_t* rgb) {
   int i = 0;
@@ -278,15 +302,7 @@ void ycbcr_to_rgb_row_avx2(const float* y, const float* cb, const float* cr, int
     V8 vr, vg, vb;
     detail::rgb_from_ycbcr_vec(V8::load(y + i), V8::load(cb + i), V8::load(cr + i),
                                &vr, &vg, &vb);
-    alignas(32) std::int32_t r8[8], g8[8], b8[8];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(r8), clamp_u8_vec(vr.v));
-    _mm256_store_si256(reinterpret_cast<__m256i*>(g8), clamp_u8_vec(vg.v));
-    _mm256_store_si256(reinterpret_cast<__m256i*>(b8), clamp_u8_vec(vb.v));
-    for (int p = 0; p < 8; ++p) {
-      rgb[(i + p) * 3] = static_cast<std::uint8_t>(r8[p]);
-      rgb[(i + p) * 3 + 1] = static_cast<std::uint8_t>(g8[p]);
-      rgb[(i + p) * 3 + 2] = static_cast<std::uint8_t>(b8[p]);
-    }
+    store_rgb8(rgb + i * 3, clamp_u8_vec(vr.v), clamp_u8_vec(vg.v), clamp_u8_vec(vb.v));
   }
   for (; i < n; ++i) {
     const auto px = image::ycbcr_to_rgb(y[i], cb[i], cr[i]);
@@ -294,6 +310,14 @@ void ycbcr_to_rgb_row_avx2(const float* y, const float* cb, const float* cr, int
     rgb[i * 3 + 1] = image::clamp_u8(px[1]);
     rgb[i * 3 + 2] = image::clamp_u8(px[2]);
   }
+}
+
+void upsample_h2_row_avx2(const float* in, int in_w, int out_w, float* out) {
+  detail::upsample_h2_row_vec<V8>(in, in_w, out_w, out);
+}
+
+void lerp_rows_avx2(const float* top, const float* bot, float wy, int n, float* out) {
+  detail::lerp_rows_vec<V8>(top, bot, wy, n, out);
 }
 
 void f32_to_u8_row_avx2(const float* src, int n, std::uint8_t* dst) {
@@ -426,6 +450,8 @@ const KernelTable* avx2_kernels() {
       &untile_f32_avx2,
       &rgb_to_ycbcr_avx2,
       &ycbcr_to_rgb_row_avx2,
+      &upsample_h2_row_avx2,
+      &lerp_rows_avx2,
       &f32_to_u8_row_avx2,
       &sum_sq_diff_u8_avx2,
       &quant_error_block_avx2,

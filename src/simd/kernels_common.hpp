@@ -188,6 +188,53 @@ inline void rgb_from_ycbcr_vec(V y, V cb, V cr, V* r, V* g, V* b) {
   *b = y + V::set1(1.772f) * (cb - V::set1(128.0f));
 }
 
+/// One output sample of the horizontal 2x upsample. image::upsample_2x2's
+/// floor/clamp arithmetic yields exactly these taps — weights 1/0 at x = 0,
+/// 0.25/0.75 at even x, 0.75/0.25 at odd x, the right tap clamped to the
+/// last input — so this is its pair of products and one add. Every level
+/// runs it for the edge columns and the tail.
+static inline float upsample_h2_sample(const float* in, int in_w, int x) {
+  const int k = x >> 1;
+  if (x == 0) return in[0] * 1.0f + in[std::min(1, in_w - 1)] * 0.0f;
+  if (x & 1) return in[k] * 0.75f + in[std::min(k + 1, in_w - 1)] * 0.25f;
+  return in[k - 1] * 0.25f + in[k] * 0.75f;
+}
+
+/// Horizontal 2x upsample of one row, lanes = input samples k: one vector
+/// yields outputs 2k (in[k-1] * 0.25 + in[k] * 0.75) and 2k + 1 (in[k] *
+/// 0.75 + in[k+1] * 0.25), the products and add of upsample_h2_sample, and
+/// V::store_interleaved writes them as 2W consecutive outputs. The vector
+/// body stops while in[k + W] still exists, so no lane needs the clamped
+/// right tap.
+template <class V>
+inline void upsample_h2_row_vec(const float* in, int in_w, int out_w, float* out) {
+  constexpr int W = V::kWidth;
+  const V q1 = V::set1(0.25f);
+  const V q3 = V::set1(0.75f);
+  const int head = std::min(out_w, 2);
+  for (int x = 0; x < head; ++x) out[x] = upsample_h2_sample(in, in_w, x);
+  int k = 1;
+  for (; k + W < in_w; k += W) {
+    const V cur = V::load(in + k);
+    V::store_interleaved(out + 2 * k, V::load(in + k - 1) * q1 + cur * q3,
+                         cur * q3 + V::load(in + k + 1) * q1);
+  }
+  for (int x = std::max(head, 2 * k); x < out_w; ++x)
+    out[x] = upsample_h2_sample(in, in_w, x);
+}
+
+/// out[i] = top[i] * (1 - wy) + bot[i] * wy, lanes = samples.
+template <class V>
+inline void lerp_rows_vec(const float* top, const float* bot, float wy, int n, float* out) {
+  const float wt = 1.0f - wy;
+  const V vt = V::set1(wt);
+  const V vb = V::set1(wy);
+  int i = 0;
+  for (; i + V::kWidth <= n; i += V::kWidth)
+    (V::load(top + i) * vt + V::load(bot + i) * vb).store(out + i);
+  for (; i < n; ++i) out[i] = top[i] * wt + bot[i] * wy;
+}
+
 /// Register-blocked C[m x n] += A[m x k] * B[k x n] (row-major). The C tile
 /// (4 rows x 2 vectors) lives in registers across the whole k loop; each
 /// C element still accumulates a[i][kk] * b[kk][j] in ascending-kk order

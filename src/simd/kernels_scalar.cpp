@@ -125,6 +125,15 @@ void ycbcr_to_rgb_row_scalar(const float* y, const float* cb, const float* cr, i
   }
 }
 
+void upsample_h2_row_scalar(const float* in, int in_w, int out_w, float* out) {
+  for (int x = 0; x < out_w; ++x) out[x] = detail::upsample_h2_sample(in, in_w, x);
+}
+
+void lerp_rows_scalar(const float* top, const float* bot, float wy, int n, float* out) {
+  const float wt = 1.0f - wy;
+  for (int i = 0; i < n; ++i) out[i] = top[i] * wt + bot[i] * wy;
+}
+
 void f32_to_u8_row_scalar(const float* src, int n, std::uint8_t* dst) {
   for (int i = 0; i < n; ++i) dst[i] = image::clamp_u8(src[i]);
 }
@@ -208,6 +217,8 @@ const KernelTable* scalar_kernels() {
       &untile_f32_scalar,
       &rgb_to_ycbcr_scalar,
       &ycbcr_to_rgb_row_scalar,
+      &upsample_h2_row_scalar,
+      &lerp_rows_scalar,
       &f32_to_u8_row_scalar,
       &sum_sq_diff_u8_scalar,
       &quant_error_block_scalar,

@@ -34,6 +34,11 @@ struct V4 {
   static V4 load(const float* p) { return {_mm_loadu_ps(p)}; }
   static V4 set1(float x) { return {_mm_set1_ps(x)}; }
   void store(float* p) const { _mm_storeu_ps(p, v); }
+  /// Stores a0 b0 a1 b1 ... a3 b3.
+  static void store_interleaved(float* p, V4 a, V4 b) {
+    _mm_storeu_ps(p, _mm_unpacklo_ps(a.v, b.v));
+    _mm_storeu_ps(p + 4, _mm_unpackhi_ps(a.v, b.v));
+  }
   friend V4 operator+(V4 a, V4 b) { return {_mm_add_ps(a.v, b.v)}; }
   friend V4 operator-(V4 a, V4 b) { return {_mm_sub_ps(a.v, b.v)}; }
   friend V4 operator*(V4 a, V4 b) { return {_mm_mul_ps(a.v, b.v)}; }
@@ -260,6 +265,22 @@ inline __m128i clamp_u8_vec(__m128 v) {
   return _mm_cvtps_epi32(v);
 }
 
+// Interleaves four pixels' R/G/B lanes (int32, already in [0, 255]) into
+// 12 bytes without leaving registers: one 0x00BBGGRR word per pixel, each
+// 64-bit lane (two words) squeezed to 6 bytes, then the two lanes joined.
+inline void store_rgb4(std::uint8_t* rgb, __m128i r, __m128i g, __m128i b) {
+  const __m128i px =
+      _mm_or_si128(r, _mm_or_si128(_mm_slli_epi32(g, 8), _mm_slli_epi32(b, 16)));
+  // Per 64-bit lane: p0 | p1 << 32  ->  p0 | p1 << 24.
+  const __m128i six =
+      _mm_or_si128(_mm_and_si128(px, _mm_set1_epi64x(0xFFFFFFFFLL)),
+                   _mm_and_si128(_mm_srli_epi64(px, 8), _mm_set1_epi64x(0xFFFFFF000000LL)));
+  const __m128i hi = _mm_srli_si128(six, 8);  // pixels 2-3 in the low lane
+  _mm_storel_epi64(reinterpret_cast<__m128i*>(rgb), _mm_or_si128(six, _mm_slli_epi64(hi, 48)));
+  const std::int32_t tail = _mm_cvtsi128_si32(_mm_srli_epi64(hi, 16));
+  std::memcpy(rgb + 8, &tail, sizeof(tail));
+}
+
 void ycbcr_to_rgb_row_sse2(const float* y, const float* cb, const float* cr, int n,
                            std::uint8_t* rgb) {
   int i = 0;
@@ -267,15 +288,7 @@ void ycbcr_to_rgb_row_sse2(const float* y, const float* cb, const float* cr, int
     V4 vr, vg, vb;
     detail::rgb_from_ycbcr_vec(V4::load(y + i), V4::load(cb + i), V4::load(cr + i),
                                &vr, &vg, &vb);
-    alignas(16) std::int32_t r4[4], g4[4], b4[4];
-    _mm_store_si128(reinterpret_cast<__m128i*>(r4), clamp_u8_vec(vr.v));
-    _mm_store_si128(reinterpret_cast<__m128i*>(g4), clamp_u8_vec(vg.v));
-    _mm_store_si128(reinterpret_cast<__m128i*>(b4), clamp_u8_vec(vb.v));
-    for (int p = 0; p < 4; ++p) {
-      rgb[(i + p) * 3] = static_cast<std::uint8_t>(r4[p]);
-      rgb[(i + p) * 3 + 1] = static_cast<std::uint8_t>(g4[p]);
-      rgb[(i + p) * 3 + 2] = static_cast<std::uint8_t>(b4[p]);
-    }
+    store_rgb4(rgb + i * 3, clamp_u8_vec(vr.v), clamp_u8_vec(vg.v), clamp_u8_vec(vb.v));
   }
   for (; i < n; ++i) {
     const auto px = image::ycbcr_to_rgb(y[i], cb[i], cr[i]);
@@ -283,6 +296,14 @@ void ycbcr_to_rgb_row_sse2(const float* y, const float* cb, const float* cr, int
     rgb[i * 3 + 1] = image::clamp_u8(px[1]);
     rgb[i * 3 + 2] = image::clamp_u8(px[2]);
   }
+}
+
+void upsample_h2_row_sse2(const float* in, int in_w, int out_w, float* out) {
+  detail::upsample_h2_row_vec<V4>(in, in_w, out_w, out);
+}
+
+void lerp_rows_sse2(const float* top, const float* bot, float wy, int n, float* out) {
+  detail::lerp_rows_vec<V4>(top, bot, wy, n, out);
 }
 
 void f32_to_u8_row_sse2(const float* src, int n, std::uint8_t* dst) {
@@ -423,6 +444,8 @@ const KernelTable* sse2_kernels() {
       &untile_f32_sse2,
       &rgb_to_ycbcr_sse2,
       &ycbcr_to_rgb_row_sse2,
+      &upsample_h2_row_sse2,
+      &lerp_rows_sse2,
       &f32_to_u8_row_sse2,
       &sum_sq_diff_u8_sse2,
       &quant_error_block_sse2,

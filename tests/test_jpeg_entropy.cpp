@@ -196,6 +196,11 @@ TEST(EntropyLut, ContextCachesDecodersPerSpecAndWidth) {
 // Restart-parallel determinism
 // ---------------------------------------------------------------------------
 
+// The streams below are hundreds of blocks long (256x256 gray is 1,024
+// blocks, 248x232 4:2:0 is 16 x 15 MCUs of 6 blocks = 1,440, 256x192 gray is
+// 768), so at 2 and 8 threads every pool thread decodes many segments; the
+// TSan leg runs these tests for those cross-thread segment writes.
+
 TEST(RestartParallel, PlanesAndPixelsIdenticalAtEveryThreadCount) {
   EncoderConfig ec;
   ec.quality = 80;
@@ -203,7 +208,7 @@ TEST(RestartParallel, PlanesAndPixelsIdenticalAtEveryThreadCount) {
   for (const int channels : {1, 3}) {
     ec.subsampling = channels == 3 ? Subsampling::k420 : Subsampling::k444;
     const std::vector<std::uint8_t> stream =
-        encode(synth(48, 40, channels, 11), ec);
+        channels == 3 ? encode(synth(248, 232, 3, 11), ec) : encode(synth(256, 256, 1, 11), ec);
     const DecodeSnapshot serial = snapshot_decode(stream, 1);
     for (const int threads : {2, 8}) {
       SCOPED_TRACE("channels=" + std::to_string(channels) +
@@ -216,7 +221,7 @@ TEST(RestartParallel, PlanesAndPixelsIdenticalAtEveryThreadCount) {
 TEST(RestartParallel, MatchesNonRestartPixels) {
   // The same image with and without restart intervals decodes to the same
   // pixels (restart markers only reset the DC predictor).
-  const image::Image img = synth(64, 48, 1, 12);
+  const image::Image img = synth(256, 192, 1, 12);
   EncoderConfig plain;
   plain.quality = 85;
   EncoderConfig restart = plain;

@@ -3,17 +3,30 @@
 // quantize/zigzag + zero-alloc entropy pass) must produce byte-identical
 // streams to the retained per-block reference encoder across image shapes,
 // subsampling modes, and table precisions — and the batched primitives must
-// be bit-identical to their per-block counterparts.
+// be bit-identical to their per-block counterparts. On the decode side, the
+// colour row loop must reproduce the plane-by-plane upsample + to_rgb
+// composition byte for byte.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <random>
+#include <stdexcept>
+#include <string>
 
 #include "image/blocks.hpp"
+#include "image/color.hpp"
+#include "image/resample.hpp"
+#include "jpeg/bitio.hpp"
+#include "jpeg/block_coder.hpp"
 #include "jpeg/codec.hpp"
 #include "jpeg/dct.hpp"
 #include "jpeg/pipeline/codec_context.hpp"
 #include "jpeg/zigzag.hpp"
+#include "simd/dispatch.hpp"
 
 namespace dnj::jpeg {
 namespace {
@@ -305,6 +318,168 @@ TEST(CodecContext, ReciprocalCacheTracksTableChanges) {
   // Chroma slot is independent.
   const ReciprocalTable& rc = ctx.reciprocal_for(a, 1);
   EXPECT_EQ(rc.recip(63), 1.0f / 4.0f);
+}
+
+// --- colour decode oracle ----------------------------------------------------
+
+/// The plane-by-plane colour decoder that the row loop replaced, composed
+/// from library pieces that stay: coefficient planes -> dequantize + IDCT ->
+/// untile, then each 2x2-subsampled chroma plane is cropped to
+/// ceil(w/2) x ceil(h/2), upsampled with image::upsample_2x2 and re-padded
+/// to the luma plane, and image::to_rgb converts. Quant table indices are
+/// the encoder's: 0 for luma, 1 for chroma.
+Image oracle_colour_decode(const std::vector<std::uint8_t>& bytes, bool subsampled) {
+  CodecContext ctx;
+  const JpegInfo info = decode_coefficients(bytes, ctx, 1);
+  std::array<PlaneF, 3> planes;
+  for (int ci = 0; ci < 3; ++ci) {
+    const pipeline::QuantPlane& q = ctx.decode_coeffs[static_cast<std::size_t>(ci)];
+    CoeffPlane fp;
+    fp.reshape(q.blocks_x(), q.blocks_y());
+    dequantize_batch(q.data(), fp.block_count(), *info.quant_tables[ci == 0 ? 0 : 1],
+                     fp.data());
+    idct_batch(fp.data(), fp.block_count());
+    PlaneF& plane = planes[static_cast<std::size_t>(ci)];
+    plane = PlaneF(q.blocks_x() * kBlockDim, q.blocks_y() * kBlockDim);
+    image::untile_blocks_from(fp.data(), q.blocks_x(), q.blocks_y(), plane, 128.0f);
+  }
+  if (subsampled) {
+    const int need_w = (info.width + 1) / 2;
+    const int need_h = (info.height + 1) / 2;
+    for (int ci = 1; ci < 3; ++ci) {
+      PlaneF& plane = planes[static_cast<std::size_t>(ci)];
+      PlaneF cropped(need_w, need_h);
+      for (int y = 0; y < need_h; ++y)
+        for (int x = 0; x < need_w; ++x) cropped.at(x, y) = plane.at(x, y);
+      const PlaneF up = image::upsample_2x2(cropped, info.width, info.height);
+      PlaneF padded(planes[0].width(), planes[0].height(), 128.0f);
+      for (int y = 0; y < info.height; ++y)
+        for (int x = 0; x < info.width; ++x) padded.at(x, y) = up.at(x, y);
+      plane = std::move(padded);
+    }
+  }
+  return image::to_rgb(planes[0], planes[1], planes[2], info.width, info.height);
+}
+
+TEST(ColourDecodeOracle, RowLoopMatchesPlaneCompositionByteForByte) {
+  const int widths[] = {1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 33, 63, 64, 65, 224, 227};
+  const int heights[] = {1, 2, 5, 16, 17, 33, 224};
+  std::vector<simd::Level> levels;
+  for (simd::Level l : {simd::Level::kScalar, simd::Level::kSse2, simd::Level::kAvx2})
+    if (simd::set_level(l)) levels.push_back(l);
+  // One context across every case, so arenas reshape between shapes.
+  CodecContext ctx;
+  std::size_t cases = 0;
+  for (const int w : widths) {
+    for (const int h : heights) {
+      const Image img = textured_image(w, h, 3, 0x0AC1E + 1000u * w + h);
+      for (const Subsampling sub : {Subsampling::k420, Subsampling::k444}) {
+        for (const int restart : {0, 2}) {
+          EncoderConfig cfg;
+          cfg.quality = 85;
+          cfg.subsampling = sub;
+          cfg.restart_interval = restart;
+          const std::vector<std::uint8_t> bytes = encode(img, cfg);
+          for (const simd::Level level : levels) {
+            ASSERT_TRUE(simd::set_level(level));
+            const Image expect = oracle_colour_decode(bytes, sub == Subsampling::k420);
+            const Image got = decode(bytes, ctx);
+            ASSERT_EQ(got.data().size(), expect.data().size());
+            EXPECT_EQ(0, std::memcmp(got.data().data(), expect.data().data(),
+                                     got.data().size()))
+                << w << "x" << h << (sub == Subsampling::k420 ? " 4:2:0" : " 4:4:4")
+                << " restart=" << restart << " level=" << simd::level_name(level);
+            ++cases;
+          }
+        }
+      }
+    }
+  }
+  simd::set_level(simd::max_supported_level());
+  EXPECT_EQ(cases, 16u * 7u * 2u * 2u * levels.size());
+}
+
+/// A 3-component stream whose SOF0 declares sampling bytes `hv` (0xHV per
+/// component) and whose scan fits that layout: every block is all zero (DC
+/// difference 0, then EOB) under the Annex K tables, so the frame is flat
+/// 128 grey. The other headers are those of an encoded 4:4:4 stream, whose
+/// tables and SOS are valid for any layout.
+std::vector<std::uint8_t> flat_stream_with_sampling(int w, int h,
+                                                    const std::array<std::uint8_t, 3>& hv) {
+  EncoderConfig cfg;
+  cfg.subsampling = Subsampling::k444;
+  const std::vector<std::uint8_t> base = encode(Image(w, h, 3), cfg);
+  std::size_t sof = 0;
+  while (sof + 1 < base.size() && !(base[sof] == 0xFF && base[sof + 1] == 0xC0)) ++sof;
+  std::size_t sos = sof;
+  while (sos + 1 < base.size() && !(base[sos] == 0xFF && base[sos + 1] == 0xDA)) ++sos;
+  EXPECT_LT(sos + 3, base.size());
+  const std::size_t scan = sos + 2 + (static_cast<std::size_t>(base[sos + 2]) << 8 | base[sos + 3]);
+  std::vector<std::uint8_t> out(base.begin(), base.begin() + static_cast<long>(scan));
+  int max_h = 1, max_v = 1;
+  for (int c = 0; c < 3; ++c) {
+    out[sof + 11 + 3 * static_cast<std::size_t>(c)] = hv[static_cast<std::size_t>(c)];
+    max_h = std::max(max_h, hv[static_cast<std::size_t>(c)] >> 4);
+    max_v = std::max(max_v, hv[static_cast<std::size_t>(c)] & 0x0F);
+  }
+  const int mcus = ((w + 8 * max_h - 1) / (8 * max_h)) * ((h + 8 * max_v - 1) / (8 * max_v));
+  CodecContext ctx;
+  const CodecContext::StaticHuffman& huff = ctx.static_huffman();
+  const std::array<std::int16_t, kBlockSize> zero{};
+  std::array<int, 3> dc_pred{};
+  BitWriter bw(out);
+  for (int m = 0; m < mcus; ++m)
+    for (std::size_t c = 0; c < 3; ++c)
+      for (int b = 0; b < (hv[c] >> 4) * (hv[c] & 0x0F); ++b)
+        encode_block_zz(bw, zero.data(), dc_pred[c], c == 0 ? huff.dc_luma : huff.dc_chroma,
+                        c == 0 ? huff.ac_luma : huff.ac_chroma);
+  bw.flush();
+  out.push_back(0xFF);
+  out.push_back(0xD9);  // EOI
+  return out;
+}
+
+TEST(ColourDecodeOracle, SamplingLayoutRule) {
+  // Colour reconstruction feeds a component at the frame's maximum sampling
+  // from its plane and upsamples a chroma component at exactly half the
+  // maximum on both axes; any other layout, subsampled luma included,
+  // throws. Every scan here fits its layout, so the entropy stage accepts
+  // it and the throw comes from reconstruction.
+  struct Layout {
+    std::array<std::uint8_t, 3> hv;
+    bool decodes;
+  };
+  const Layout layouts[] = {
+      {{0x22, 0x11, 0x11}, true},   // 4:2:0
+      {{0x22, 0x22, 0x11}, true},   // Cb at full resolution, Cr upsampled
+      {{0x21, 0x21, 0x21}, true},   // every component at the 2x1 maximum
+      {{0x11, 0x22, 0x22}, false},  // subsampled luma
+      {{0x21, 0x11, 0x11}, false},  // 4:2:2: chroma halved on one axis only
+      {{0x12, 0x11, 0x11}, false},  // 4:4:0
+  };
+  for (const Layout& layout : layouts) {
+    const std::vector<std::uint8_t> bytes = flat_stream_with_sampling(40, 24, layout.hv);
+    char name[32];
+    std::snprintf(name, sizeof(name), "sampling %02X/%02X/%02X", layout.hv[0], layout.hv[1],
+                  layout.hv[2]);
+    SCOPED_TRACE(name);
+    CodecContext ctx;
+    EXPECT_NO_THROW((void)decode_coefficients(bytes, ctx, 1));
+    if (layout.decodes) {
+      const Image img = decode(bytes, ctx);
+      ASSERT_EQ(img.data().size(), 40u * 24u * 3u);
+      for (const std::uint8_t v : img.data()) ASSERT_EQ(v, 128);
+      continue;
+    }
+    try {
+      (void)decode(bytes, ctx);
+      ADD_FAILURE() << "decoded an unsupported layout";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported sampling factor combination"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(CodecContext, DecodeThroughReusedContextMatchesFresh) {

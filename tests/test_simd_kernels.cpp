@@ -8,6 +8,8 @@
 // the determinism contract documented in simd/dispatch.hpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <random>
 #include <vector>
@@ -192,6 +194,102 @@ TEST(SimdKernels, ColorTransformsMatchScalarBitExact) {
     const image::Image rgb = image::to_rgb(got, img.width(), img.height());
     EXPECT_EQ(rgb, expect_rgb) << "level=" << level_name(l);
   });
+}
+
+// The colour-decode row kernels at widths 1-67: every vector tail of both
+// widths, both edge columns, and inputs outside [0, 255] that exercise the
+// clamp. Outputs are compared with memcmp, and guard cells past the row
+// must stay untouched.
+constexpr int kMaxRowWidth = 67;
+constexpr int kGuard = 16;
+
+std::vector<float> random_row(int n, std::mt19937_64& rng) {
+  std::uniform_real_distribution<float> dist(-300.0f, 600.0f);
+  std::vector<float> out(static_cast<std::size_t>(n));
+  for (float& v : out) v = dist(rng);
+  return out;
+}
+
+TEST(SimdKernels, YcbcrToRgbRowMatchesScalarAtEveryWidth) {
+  std::mt19937_64 rng(0xC0105);
+  for (int n = 1; n <= kMaxRowWidth; ++n) {
+    const std::vector<float> y = random_row(n, rng);
+    const std::vector<float> cb = random_row(n, rng);
+    const std::vector<float> cr = random_row(n, rng);
+    const auto run = [&] {
+      std::vector<std::uint8_t> rgb(static_cast<std::size_t>(3 * n + kGuard), 0xA5);
+      kernels().ycbcr_to_rgb_row(y.data(), cb.data(), cr.data(), n, rgb.data());
+      return rgb;
+    };
+    set_level(Level::kScalar);
+    const std::vector<std::uint8_t> expect = run();
+    for (int g = 0; g < kGuard; ++g) ASSERT_EQ(expect[3 * n + g], 0xA5) << "n=" << n;
+    for_each_simd_level([&](Level l) {
+      const std::vector<std::uint8_t> got = run();
+      EXPECT_EQ(0, std::memcmp(got.data(), expect.data(), got.size()))
+          << "level=" << level_name(l) << " n=" << n;
+    });
+  }
+}
+
+TEST(SimdKernels, UpsampleH2RowMatchesUpsample2x2Taps) {
+  std::mt19937_64 rng(0x0B5A);
+  for (int out_w = 1; out_w <= kMaxRowWidth; ++out_w) {
+    const int in_w = (out_w + 1) / 2;
+    // NaN past the row: a kernel that reads beyond in_w poisons its output.
+    std::vector<float> in = random_row(in_w, rng);
+    in.resize(static_cast<std::size_t>(in_w + kGuard), std::nanf(""));
+    const auto run = [&] {
+      std::vector<float> out(static_cast<std::size_t>(out_w + kGuard), -1.0f);
+      kernels().upsample_h2_row(in.data(), in_w, out_w, out.data());
+      return out;
+    };
+    set_level(Level::kScalar);
+    const std::vector<float> expect = run();
+    // The scalar kernel is upsample_2x2's horizontal arithmetic.
+    for (int x = 0; x < out_w; ++x) {
+      const float fx = (static_cast<float>(x) + 0.5f) / 2.0f - 0.5f;
+      const int x0 = std::clamp(static_cast<int>(std::floor(fx)), 0, in_w - 1);
+      const int x1 = std::min(x0 + 1, in_w - 1);
+      const float wx = std::clamp(fx - static_cast<float>(x0), 0.0f, 1.0f);
+      const float ref = in[x0] * (1.0f - wx) + in[x1] * wx;
+      EXPECT_EQ(0, std::memcmp(&expect[x], &ref, sizeof(float)))
+          << "out_w=" << out_w << " x=" << x;
+    }
+    for (int g = 0; g < kGuard; ++g) ASSERT_EQ(expect[out_w + g], -1.0f);
+    for_each_simd_level([&](Level l) {
+      const std::vector<float> got = run();
+      EXPECT_EQ(0, std::memcmp(got.data(), expect.data(), got.size() * sizeof(float)))
+          << "level=" << level_name(l) << " out_w=" << out_w;
+    });
+  }
+}
+
+TEST(SimdKernels, LerpRowsMatchesScalarAtEveryWidth) {
+  std::mt19937_64 rng(0x1E9);
+  for (int n = 1; n <= kMaxRowWidth; ++n) {
+    const std::vector<float> top = random_row(n, rng);
+    const std::vector<float> bot = random_row(n, rng);
+    for (const float wy : {0.0f, 0.25f, 0.75f}) {
+      const auto run = [&] {
+        std::vector<float> out(static_cast<std::size_t>(n + kGuard), -1.0f);
+        kernels().lerp_rows(top.data(), bot.data(), wy, n, out.data());
+        return out;
+      };
+      set_level(Level::kScalar);
+      const std::vector<float> expect = run();
+      for (int i = 0; i < n; ++i) {
+        const float ref = top[i] * (1.0f - wy) + bot[i] * wy;
+        EXPECT_EQ(0, std::memcmp(&expect[i], &ref, sizeof(float))) << "n=" << n;
+      }
+      for (int g = 0; g < kGuard; ++g) ASSERT_EQ(expect[n + g], -1.0f);
+      for_each_simd_level([&](Level l) {
+        const std::vector<float> got = run();
+        EXPECT_EQ(0, std::memcmp(got.data(), expect.data(), got.size() * sizeof(float)))
+            << "level=" << level_name(l) << " n=" << n << " wy=" << wy;
+      });
+    }
+  }
 }
 
 TEST(SimdKernels, PlaneToU8MatchesClampU8) {
