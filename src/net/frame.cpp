@@ -1,6 +1,6 @@
 #include "net/frame.hpp"
 
-#include <array>
+#include "simd/dispatch.hpp"
 
 namespace dnj::net {
 
@@ -47,20 +47,7 @@ std::uint64_t read_u64(const std::uint8_t* p) {
 }
 
 std::uint32_t crc32(const void* data, std::size_t n) {
-  // Table built on first use; thread-safe via C++ magic statics.
-  static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) c = (c >> 1) ^ ((c & 1u) ? 0xEDB88320u : 0u);
-      t[i] = c;
-    }
-    return t;
-  }();
-  const unsigned char* p = static_cast<const unsigned char*>(data);
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < n; ++i) crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
-  return crc ^ 0xFFFFFFFFu;
+  return simd::kernels().crc32(0, static_cast<const std::uint8_t*>(data), n);
 }
 
 std::vector<std::uint8_t> serialize_frame(const Frame& f) {
@@ -81,12 +68,10 @@ std::vector<std::uint8_t> serialize_frame(const Frame& f) {
 
 void FrameParser::feed(const void* data, std::size_t n) {
   if (n == 0 || broken()) return;
-  // Compact the consumed prefix before growing — the buffer stays bounded
-  // by (one frame + one read's worth) instead of the connection's history.
-  if (pos_ > 0 && pos_ == buf_.size()) {
-    buf_.clear();
-    pos_ = 0;
-  } else if (pos_ > kHeaderSize + max_payload_) {
+  // Move the unconsumed tail to the front before growing, so a drained
+  // parser holds at most one partial frame plus one read, however reads
+  // straddle frame boundaries.
+  if (pos_ > 0) {
     buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(pos_));
     pos_ = 0;
   }

@@ -111,7 +111,9 @@ struct Frame {
 /// CRC-32 (ISO-HDLC: polynomial 0xEDB88320 reflected, init 0xFFFFFFFF,
 /// final xor 0xFFFFFFFF) — the ubiquitous zlib/Ethernet CRC, so foreign
 /// clients can use any stock implementation. crc32("123456789") ==
-/// 0xCBF43926 (the standard check value, pinned in tests).
+/// 0xCBF43926 (the standard check value, pinned in tests). Runs the
+/// simd::KernelTable crc32 slot: a PCLMULQDQ fold where the CPU has it,
+/// slice-by-8 otherwise, the same value either way.
 std::uint32_t crc32(const void* data, std::size_t n);
 
 /// Serializes header + payload into one contiguous buffer ready to write
@@ -159,6 +161,10 @@ class FrameParser {
 
   /// Bytes currently buffered and not yet consumed (tests / flow control).
   std::size_t buffered() const { return buf_.size() - pos_; }
+
+  /// Bytes the buffer holds, consumed prefix included — the parser's
+  /// memory footprint (tests pin its bound).
+  std::size_t held() const { return buf_.size(); }
 
  private:
   std::size_t max_payload_;

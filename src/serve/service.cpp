@@ -356,7 +356,7 @@ void TranscodeService::process_batch(std::vector<Job>& batch, WorkerStats& ws,
       bool hit = false;
       if (job.cacheable) {
         obs::Span probe(obs::Stage::kCacheProbe);
-        job.key.input = request_input_digest(job.req);
+        job.key.input = request_input_digest(job.req, digest_key_);
         hit = result_cache_.get(job.key, &resp.bytes);
       }
       if (hit) {
@@ -536,7 +536,7 @@ jpeg::EncoderConfig TranscodeService::deepn_config(int quality,
   LruCache<CacheKey, TablePair, CacheKeyHash>* cache =
       worker_id >= 0 ? table_caches_[static_cast<std::size_t>(worker_id)].get()
                      : nullptr;
-  const CacheKey key{tables_digest, static_cast<std::uint64_t>(quality)};
+  const CacheKey key{{tables_digest, 0}, static_cast<std::uint64_t>(quality)};
   bool hit = false;
   if (cache != nullptr && cache->enabled()) {
     if (info != nullptr) info->table_lookup = true;

@@ -29,9 +29,11 @@
 // request naming a tenant pins that tenant's immutable snapshot at
 // submission — concurrent re-registration can never mix table generations
 // within a request — and is digested by resolved *content*, so identical
-// configurations share shards, batches, and caches across tenant names.
-// The shared result LRU enforces per-tenant byte quotas so one tenant
-// cannot evict everyone else (see LruCache).
+// configurations share shards, batches, and table caches across tenant
+// names. The result LRU does not: its keyed input digest folds in the
+// tenant name, so one tenant's entry never answers another's request. It
+// enforces per-tenant byte quotas so one tenant cannot evict everyone
+// else (see LruCache).
 //
 // Determinism contract (extends the codec/runtime contracts to serving):
 // every response payload is bit-identical to the equivalent synchronous
@@ -105,8 +107,9 @@ struct ServiceConfig {
   /// shard_by_digest; trades cache warmth for utilization under skew.
   bool steal = true;
 
-  /// Result-cache entries — encoded byte payloads keyed on
-  /// (input digest, config digest). 0 disables the cache.
+  /// Result-cache entries — encoded byte payloads keyed on (keyed 128-bit
+  /// input digest, config digest); see serve/digest.hpp. 0 disables the
+  /// cache.
   std::size_t cache_capacity = 256;
 
   /// Result-cache byte ceiling across all entries (0 = entry count only).
@@ -230,6 +233,9 @@ class TranscodeService {
   void refuse(Job&& job, Status status, std::string why);
 
   ServiceConfig config_;
+  /// This service's SipHash key for result-cache input digests, drawn at
+  /// construction and never exposed (serve/digest.hpp).
+  const SipKey digest_key_ = random_sip_key();
   std::uint64_t deepn_tables_digest_ = 0;
   std::size_t shards_ = 1;
   /// Consistent-hash ring: (point, shard), sorted by point. Virtual nodes

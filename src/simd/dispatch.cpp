@@ -63,6 +63,7 @@ void overlay(KernelTable& dst, const KernelTable& src) {
   if (src.gemm_at_acc) dst.gemm_at_acc = src.gemm_at_acc;
   if (src.nonzero_mask_i16_64) dst.nonzero_mask_i16_64 = src.nonzero_mask_i16_64;
   if (src.stuff_bytes) dst.stuff_bytes = src.stuff_bytes;
+  if (src.crc32) dst.crc32 = src.crc32;
 }
 
 struct State {
@@ -83,6 +84,11 @@ struct State {
       }
       resolved[i] = merged;  // unusable levels alias the level below
     }
+    // The CRC fold needs PCLMULQDQ, which neither SSE2 nor AVX2 implies.
+    const auto crc32_fold = crc32_pclmul_kernel();
+    if (crc32_fold && pclmul_supported())
+      for (int i = 1; i < 3; ++i)
+        if (usable[i]) resolved[i].crc32 = crc32_fold;
 
     Level initial = max_usable();
     if (const char* env = std::getenv("DNJ_SIMD")) {
@@ -113,6 +119,14 @@ State& state() {
 }
 
 }  // namespace
+
+bool pclmul_supported() {
+#if (defined(__x86_64__) || defined(__i386__)) && (defined(__GNUC__) || defined(__clang__))
+  return __builtin_cpu_supports("pclmul");
+#else
+  return false;
+#endif
+}
 
 const char* level_name(Level level) {
   switch (level) {

@@ -1,11 +1,13 @@
 // Runtime-dispatched SIMD kernel layer.
 //
-// Every hot loop of the codec pipeline and the NN GEMM funnels through one
-// per-kernel function-pointer table that is resolved once at startup:
-// cpuid-style feature detection picks the widest supported level, the
-// `DNJ_SIMD` environment variable (`auto|scalar|sse2|avx2`) or the
-// `set_level()` API can pin a narrower one, and unsupported/absent levels
-// fall back per kernel to the next level down (avx2 -> sse2 -> scalar).
+// Every hot loop of the codec pipeline, the NN GEMM and the wire CRC
+// funnels through one per-kernel function-pointer table that is resolved
+// once at startup: cpuid-style feature detection picks the widest
+// supported level, the `DNJ_SIMD` environment variable
+// (`auto|scalar|sse2|avx2`) or the `set_level()` API can pin a narrower
+// one, and unsupported/absent levels fall back per kernel to the next
+// level down (avx2 -> sse2 -> scalar). One kernel needs a feature no level
+// implies: the CRC-32 fold runs only where cpuid also reports PCLMULQDQ.
 //
 // The determinism contract: every vector lane executes the exact scalar
 // operation sequence. Kernels vectorize across independent outputs (blocks
@@ -114,7 +116,18 @@ struct KernelTable {
   /// byte and fall back per byte only on chunks that need stuffing.
   std::size_t (*stuff_bytes)(const std::uint8_t* src, std::size_t n,
                              std::uint8_t* dst);
+  /// CRC-32 (ISO-HDLC, the wire frame checksum) in zlib's form: `crc` is
+  /// the CRC of the bytes before `data` (0 to start), the result is the CRC
+  /// of both, so crc32(crc32(0, a), b) == crc32(0, a ++ b). Exact integer
+  /// arithmetic, identical at every level. Scalar is slice-by-8; SSE2 and
+  /// AVX2 fold with PCLMULQDQ, but only when pclmul_supported() — the
+  /// dispatcher installs that kernel, as neither level implies the
+  /// instruction. Otherwise they inherit slice-by-8.
+  std::uint32_t (*crc32)(std::uint32_t crc, const std::uint8_t* data, std::size_t n);
 };
+
+/// True when CPUID reports PCLMULQDQ, which the CRC-32 fold needs.
+bool pclmul_supported();
 
 /// The active kernel table. First use resolves the level from DNJ_SIMD
 /// (or auto-detects); the returned reference stays valid forever.

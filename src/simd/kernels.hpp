@@ -20,4 +20,10 @@ const KernelTable* sse2_kernels();
 /// or no compiler support).
 const KernelTable* avx2_kernels();
 
+/// The PCLMULQDQ CRC-32 fold (SSE2 TU, function-level target attribute),
+/// or nullptr when the compiler cannot emit it. It sits in no level's
+/// table: the dispatcher installs it at SSE2 and above only when
+/// pclmul_supported().
+decltype(KernelTable::crc32) crc32_pclmul_kernel();
+
 }  // namespace dnj::simd

@@ -459,6 +459,7 @@ const KernelTable* avx2_kernels() {
       &gemm_at_acc_avx2,
       &nonzero_mask_i16_64_avx2,
       &stuff_bytes_avx2,
+      nullptr,  // crc32: the dispatcher installs the PCLMULQDQ fold
   };
   return &table;
 }

@@ -3,8 +3,8 @@
 // Two kinds of sharing live here:
 //
 //  * scalar edge/tail helpers (block tiling at plane edges, the zig-zag
-//    permute) that every level runs unchanged, so the slow paths are one
-//    definition instead of three;
+//    permute, the slice-by-8 CRC-32) that every level runs unchanged, so
+//    the slow paths are one definition instead of three;
 //  * kernel bodies templated over a tiny vector wrapper `V` (load/store/
 //    set1 + arithmetic operators, lane count V::kWidth). Each SIMD TU
 //    instantiates them with its own wrapper; because the template mirrors
@@ -15,6 +15,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 
 #include "jpeg/zigzag.hpp"
@@ -75,6 +76,53 @@ static inline void tile_full_block_u8(const std::uint8_t* row, std::size_t row_s
 static inline void zigzag_permute_i16(const std::int16_t* natural, std::int16_t* zz) {
   for (int k = 0; k < 64; ++k)
     zz[k] = natural[jpeg::kZigzag[static_cast<std::size_t>(k)]];
+}
+
+// ------------------------------------------------------------------- CRC-32
+
+/// Slice-by-8 tables for the reflected CRC-32 polynomial 0xEDB88320:
+/// t[0] is the bytewise table, and t[k][i] is t[k - 1][i] advanced through
+/// one more zero byte.
+struct Crc32Tables {
+  std::uint32_t t[8][256];
+};
+
+constexpr Crc32Tables make_crc32_tables() {
+  Crc32Tables tab{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c >> 1) ^ ((c & 1u) ? 0xEDB88320u : 0u);
+    tab.t[0][i] = c;
+  }
+  for (int k = 1; k < 8; ++k)
+    for (std::uint32_t i = 0; i < 256; ++i)
+      tab.t[k][i] = (tab.t[k - 1][i] >> 8) ^ tab.t[0][tab.t[k - 1][i] & 0xFFu];
+  return tab;
+}
+
+inline constexpr Crc32Tables kCrc32Tables = make_crc32_tables();
+
+static inline std::uint32_t load_le32(const std::uint8_t* p) {
+  return std::uint32_t{p[0]} | (std::uint32_t{p[1]} << 8) | (std::uint32_t{p[2]} << 16) |
+         (std::uint32_t{p[3]} << 24);
+}
+
+/// CRC-32 in zlib's crc32(crc, buf, len) form by slice-by-8 (Kounavis &
+/// Berry, ISCC 2005): eight table lookups retire eight bytes. The scalar
+/// level's kernel, and the PCLMULQDQ fold's short-input and tail path.
+static inline std::uint32_t crc32_slice8(std::uint32_t crc, const std::uint8_t* p,
+                                         std::size_t n) {
+  const auto& t = kCrc32Tables.t;
+  std::uint32_t c = ~crc;
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = c ^ load_le32(p);
+    const std::uint32_t hi = load_le32(p + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
+        t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
+  return ~c;
 }
 
 // ------------------------------------------------------- templated kernels

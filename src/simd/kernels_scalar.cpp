@@ -226,6 +226,7 @@ const KernelTable* scalar_kernels() {
       &gemm_at_acc_scalar,
       &nonzero_mask_i16_64_scalar,
       &stuff_bytes_scalar,
+      &detail::crc32_slice8,
   };
   return &table;
 }

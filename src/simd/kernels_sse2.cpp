@@ -12,6 +12,10 @@
 #if defined(__SSE2__)
 
 #include <emmintrin.h>
+#if defined(__GNUC__) || defined(__clang__)
+#define DNJ_SIMD_PCLMUL 1
+#include <wmmintrin.h>
+#endif
 
 #include <cstring>
 
@@ -431,7 +435,79 @@ std::size_t stuff_bytes_sse2(const std::uint8_t* src, std::size_t n,
   return o;
 }
 
+#if defined(DNJ_SIMD_PCLMUL)
+
+// One fold step of the CRC below: acc.lo * k.lo ^ acc.hi * k.hi ^ next
+// moves `acc` forward by the distance k encodes and adds the next block.
+__attribute__((target("pclmul"))) inline __m128i clmul_fold(__m128i acc, __m128i k,
+                                                          __m128i next) {
+  return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(acc, k, 0x00),
+                                     _mm_clmulepi64_si128(acc, k, 0x11)),
+                       next);
+}
+
+// CRC-32 by carry-less multiplication: Gopal et al., "Fast CRC Computation
+// for Generic Polynomials Using PCLMULQDQ Instruction", Intel, 2009. Four
+// 128-bit accumulators fold 64 bytes per step, collapse into one, fold the
+// remaining 16-byte blocks, and a Barrett reduction takes 128 bits to the
+// 32-bit CRC. The constants are the paper's bit-reflected k1..k5, the
+// polynomial P' and mu. Only these two functions carry the pclmul target,
+// so the TU stays baseline; the result leaves through an SSE2 byte shift,
+// not SSE4.1's pextrd. Short inputs and the sub-16-byte tail take
+// slice-by-8.
+__attribute__((target("pclmul"))) std::uint32_t crc32_pclmul(std::uint32_t crc,
+                                                           const std::uint8_t* p,
+                                                           std::size_t n) {
+  if (n < 64) return detail::crc32_slice8(crc, p, n);
+  const auto load = [](const std::uint8_t* q) {
+    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(q));
+  };
+  const __m128i k1k2 = _mm_set_epi64x(0x1c6e41596, 0x154442bd4);
+  const __m128i k3k4 = _mm_set_epi64x(0x0ccaa009e, 0x1751997d0);
+  const __m128i k5 = _mm_set_epi64x(0, 0x163cd6124);
+  const __m128i poly_mu = _mm_set_epi64x(0x1f7011641, 0x1db710641);
+  const __m128i low32 = _mm_set_epi32(0, -1, 0, -1);
+
+  __m128i x1 = _mm_xor_si128(load(p), _mm_cvtsi32_si128(static_cast<int>(~crc)));
+  __m128i x2 = load(p + 16);
+  __m128i x3 = load(p + 32);
+  __m128i x4 = load(p + 48);
+  p += 64;
+  n -= 64;
+  for (; n >= 64; p += 64, n -= 64) {
+    x1 = clmul_fold(x1, k1k2, load(p));
+    x2 = clmul_fold(x2, k1k2, load(p + 16));
+    x3 = clmul_fold(x3, k1k2, load(p + 32));
+    x4 = clmul_fold(x4, k1k2, load(p + 48));
+  }
+  x1 = clmul_fold(x1, k3k4, x2);
+  x1 = clmul_fold(x1, k3k4, x3);
+  x1 = clmul_fold(x1, k3k4, x4);
+  for (; n >= 16; p += 16, n -= 16) x1 = clmul_fold(x1, k3k4, load(p));
+
+  // 128 -> 64 bits, then 64 -> 32 bits, then the Barrett reduction.
+  x1 = _mm_xor_si128(_mm_srli_si128(x1, 8), _mm_clmulepi64_si128(x1, k3k4, 0x10));
+  x1 = _mm_xor_si128(_mm_srli_si128(x1, 4),
+                     _mm_clmulepi64_si128(_mm_and_si128(x1, low32), k5, 0x00));
+  __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x1, low32), poly_mu, 0x10);
+  t = _mm_clmulepi64_si128(_mm_and_si128(t, low32), poly_mu, 0x00);
+  x1 = _mm_xor_si128(x1, t);
+  const auto folded =
+      static_cast<std::uint32_t>(_mm_cvtsi128_si32(_mm_srli_si128(x1, 4)));
+  return detail::crc32_slice8(~folded, p, n);
+}
+
+#endif  // DNJ_SIMD_PCLMUL
+
 }  // namespace
+
+decltype(KernelTable::crc32) crc32_pclmul_kernel() {
+#if defined(DNJ_SIMD_PCLMUL)
+  return &crc32_pclmul;
+#else
+  return nullptr;
+#endif
+}
 
 const KernelTable* sse2_kernels() {
   static const KernelTable table = {
@@ -453,6 +529,7 @@ const KernelTable* sse2_kernels() {
       &gemm_at_acc_sse2,
       &nonzero_mask_i16_64_sse2,
       &stuff_bytes_sse2,
+      nullptr,  // crc32: the dispatcher installs the PCLMULQDQ fold
   };
   return &table;
 }
@@ -463,6 +540,7 @@ const KernelTable* sse2_kernels() {
 
 namespace dnj::simd {
 const KernelTable* sse2_kernels() { return nullptr; }
+decltype(KernelTable::crc32) crc32_pclmul_kernel() { return nullptr; }
 }  // namespace dnj::simd
 
 #endif

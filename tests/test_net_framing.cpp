@@ -8,6 +8,7 @@
 // tests/test_net.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <vector>
@@ -106,6 +107,36 @@ TEST(NetFraming, BackToBackFramesParseInOrder) {
     EXPECT_EQ(out.request_id, id);
   }
   EXPECT_EQ(parser.next(&out), ParseResult::kNeedMore);
+}
+
+TEST(NetFraming, HeldBytesStayWithinOneFramePlusOneRead) {
+  // Pipelined frames arrive in reads that never line up with frame ends;
+  // the parser must not keep the already-parsed bytes of earlier frames.
+  constexpr std::size_t kFrames = 20000;
+  constexpr std::size_t kRead = 1499;
+  Frame f;
+  f.op = Op::kDecode;
+  f.payload.assign(1001, 0x5A);
+  const std::vector<std::uint8_t> one = serialize_frame(f);
+  ASSERT_EQ(one.size(), 1029u);
+  std::vector<std::uint8_t> stream;
+  stream.reserve(one.size() * kFrames);
+  for (std::size_t i = 0; i < kFrames; ++i) stream.insert(stream.end(), one.begin(), one.end());
+
+  FrameParser parser;
+  Frame out;
+  std::size_t frames = 0;
+  std::size_t most_held = 0;
+  for (std::size_t at = 0; at < stream.size(); at += kRead) {
+    parser.feed(stream.data() + at, std::min(kRead, stream.size() - at));
+    most_held = std::max(most_held, parser.held());
+    ParseResult pr;
+    while ((pr = parser.next(&out)) == ParseResult::kFrame) ++frames;
+    ASSERT_EQ(pr, ParseResult::kNeedMore);
+  }
+  EXPECT_EQ(frames, kFrames);
+  EXPECT_EQ(parser.buffered(), 0u);
+  EXPECT_LE(most_held, one.size() + kRead);
 }
 
 TEST(NetFraming, TruncatedHeaderIsNeedMoreNotAnError) {

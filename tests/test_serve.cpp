@@ -677,5 +677,106 @@ TEST(TranscodeService, PerTenantStatsAreAttributed) {
   EXPECT_GT(st.cache_bytes, 0u);
 }
 
+TEST(TranscodeService, TenantsWithIdenticalTablesNeverShareResultEntries) {
+  auto registry = std::make_shared<TableRegistry>();
+  registry->put("alpha", tenant_base(20));
+  registry->put("beta", tenant_base(20));
+
+  ServiceConfig cfg;
+  cfg.workers = 1;
+  cfg.cache_capacity = 32;
+  cfg.registry = registry;
+  TranscodeService service(cfg);
+
+  const image::Image img = gray_corpus(1).samples[0].image;
+  const Response a1 = service.submit(tenant_request(img, "alpha", 40)).get();
+  const Response b1 = service.submit(tenant_request(img, "beta", 40)).get();
+  const Response a2 = service.submit(tenant_request(img, "alpha", 40)).get();
+  const Response b2 = service.submit(tenant_request(img, "beta", 40)).get();
+  for (const Response* r : {&a1, &b1, &a2, &b2}) ASSERT_EQ(r->status, Status::kOk) << r->error;
+  EXPECT_FALSE(a1.cache_hit);
+  EXPECT_FALSE(b1.cache_hit);  // alpha's entry must not answer beta
+  EXPECT_TRUE(a2.cache_hit);
+  EXPECT_TRUE(b2.cache_hit);
+  EXPECT_EQ(b1.bytes, a1.bytes);  // same tables, same bytes, separate entries
+  EXPECT_EQ(a2.bytes, a1.bytes);
+  EXPECT_EQ(b2.bytes, a1.bytes);
+  const ServiceStats st = service.stats();
+  ASSERT_EQ(st.tenants.size(), 2u);
+  EXPECT_EQ(st.tenants[0].cache_hits, 1u);
+  EXPECT_EQ(st.tenants[1].cache_hits, 1u);
+}
+
+TEST(TranscodeService, PerServiceDigestKeysChangeNeitherBytesNorHits) {
+  // Each service draws its own SipHash key for the result cache. The key
+  // decides where an entry lives, never what a request returns or whether
+  // a repeated input hits.
+  const data::Dataset ds = gray_corpus();
+  std::vector<Request> distinct;
+  for (std::size_t i = 0; i < 4; ++i) {
+    const image::Image& img = ds.samples[i].image;
+    distinct.push_back(encode_request(img, i % 2 ? config_a() : config_b()));
+    Request xcode;
+    xcode.kind = RequestKind::kTranscode;
+    xcode.bytes = jpeg::encode(img, config_a());
+    xcode.config = config_b();
+    distinct.push_back(std::move(xcode));
+    Request deepn;
+    deepn.kind = RequestKind::kDeepnEncode;
+    deepn.image = img;
+    deepn.quality = 45;
+    distinct.push_back(std::move(deepn));
+  }
+  ServiceConfig cfg;
+  cfg.workers = 1;
+  cfg.cache_capacity = 64;
+  TranscodeService a(cfg);
+  TranscodeService b(cfg);
+  constexpr int kRounds = 3;
+  for (int round = 0; round < kRounds; ++round)
+    for (std::size_t i = 0; i < distinct.size(); ++i) {
+      const Response ra = a.submit(distinct[i]).get();
+      const Response rb = b.submit(distinct[i]).get();
+      ASSERT_EQ(ra.status, Status::kOk) << ra.error;
+      ASSERT_EQ(rb.status, Status::kOk) << rb.error;
+      EXPECT_EQ(ra.bytes, rb.bytes) << "round " << round << " request " << i;
+      EXPECT_EQ(ra.cache_hit, round > 0) << "round " << round << " request " << i;
+      EXPECT_EQ(rb.cache_hit, round > 0) << "round " << round << " request " << i;
+    }
+  EXPECT_EQ(a.stats().cache_hits, (kRounds - 1) * distinct.size());
+  EXPECT_EQ(b.stats().cache_hits, a.stats().cache_hits);
+}
+
+SipKey key_00_to_0f() {
+  SipKey key;
+  key.k0 = 0x0706050403020100ULL;
+  key.k1 = 0x0f0e0d0c0b0a0908ULL;
+  return key;
+}
+
+TEST(SipHash24, PaperAppendixAVector) {
+  // Aumasson & Bernstein, "SipHash: a fast short-input PRF", Appendix A:
+  // key 00..0f, message 00..0e, 64-bit output.
+  std::uint8_t msg[15];
+  for (int i = 0; i < 15; ++i) msg[i] = static_cast<std::uint8_t>(i);
+  SipHash24 whole(key_00_to_0f(), /*wide=*/false);
+  whole.update(msg, sizeof msg);
+  EXPECT_EQ(whole.finish64(), 0xa129ca6149be45e5ULL);
+  // Streaming in pieces that straddle the 8-byte words gives the same.
+  SipHash24 pieces(key_00_to_0f(), /*wide=*/false);
+  pieces.update(msg, 3);
+  pieces.update(msg + 3, 7);
+  pieces.update(msg + 10, 5);
+  EXPECT_EQ(pieces.finish64(), 0xa129ca6149be45e5ULL);
+}
+
+TEST(SipHash24, Wide128BitEmptyMessageVector) {
+  // The reference implementation's 128-bit vector for the empty message
+  // under key 00..0f: a3 81 7f 04 ba 25 a8 e6 6d f6 72 14 c7 55 02 93.
+  const Digest128 d = SipHash24(key_00_to_0f(), /*wide=*/true).finish128();
+  EXPECT_EQ(d.lo, 0xe6a825ba047f81a3ULL);
+  EXPECT_EQ(d.hi, 0x930255c71472f66dULL);
+}
+
 }  // namespace
 }  // namespace dnj::serve

@@ -465,7 +465,9 @@ TEST(SimdKernels, StuffBytesMatchesReferenceOnFfPatterns) {
       std::vector<std::uint8_t> dst(in.size() * 2 + 1, 0xAB);
       const std::size_t written = kernels().stuff_bytes(in.data(), in.size(), dst.data());
       ASSERT_EQ(written, expect.size()) << "level=" << level_name(l) << " case=" << ci;
-      EXPECT_EQ(0, std::memcmp(dst.data(), expect.data(), written))
+      // std::equal, not memcmp: expect.data() is null for the empty input,
+      // and memcmp's arguments must be non-null even at length 0.
+      EXPECT_TRUE(std::equal(expect.begin(), expect.end(), dst.begin()))
           << "level=" << level_name(l) << " case=" << ci;
       EXPECT_EQ(dst[written], 0xAB)  // no write past the reported length
           << "level=" << level_name(l) << " case=" << ci;
@@ -474,6 +476,78 @@ TEST(SimdKernels, StuffBytesMatchesReferenceOnFfPatterns) {
     run(Level::kScalar);
     for_each_simd_level(run);
   }
+}
+
+/// The bytewise table loop: the CRC-32 reference every level must match.
+std::uint32_t crc32_bytewise(std::uint32_t crc, const std::uint8_t* p, std::size_t n) {
+  static const auto table = [] {
+    std::vector<std::uint32_t> t(256);
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int k = 0; k < 8; ++k) c = (c >> 1) ^ ((c & 1u) ? 0xEDB88320u : 0u);
+      t[i] = c;
+    }
+    return t;
+  }();
+  crc = ~crc;
+  for (std::size_t i = 0; i < n; ++i) crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
+  return ~crc;
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<std::uint8_t> out(n);
+  for (std::uint8_t& b : out) b = static_cast<std::uint8_t>(rng());
+  return out;
+}
+
+std::vector<Level> all_levels() {
+  std::vector<Level> out = {Level::kScalar};
+  for (Level l : simd_levels()) out.push_back(l);
+  return out;
+}
+
+TEST(SimdKernels, Crc32MatchesBytewiseAtEveryLengthAndOffset) {
+  const std::vector<std::uint8_t> buf = random_bytes(300 + 15, 0xC3C);
+  for (Level l : all_levels()) {
+    ASSERT_TRUE(set_level(l));
+    for (std::size_t off = 0; off < 16; ++off)
+      for (std::size_t n = 0; n + off <= buf.size() && n <= 300; ++n)
+        ASSERT_EQ(kernels().crc32(0, buf.data() + off, n),
+                  crc32_bytewise(0, buf.data() + off, n))
+            << "level=" << level_name(l) << " offset=" << off << " length=" << n;
+  }
+  set_level(max_supported_level());
+}
+
+TEST(SimdKernels, Crc32MatchesBytewiseOnLargeAndSplitBuffers) {
+  const std::vector<std::uint8_t> big = random_bytes((std::size_t{3} << 20) + 77, 0xB16);
+  const std::uint32_t want = crc32_bytewise(0, big.data(), big.size());
+  const std::uint8_t check[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
+  for (Level l : all_levels()) {
+    ASSERT_TRUE(set_level(l));
+    const auto crc32 = kernels().crc32;
+    EXPECT_EQ(crc32(0, check, sizeof check), 0xCBF43926u) << "level=" << level_name(l);
+    EXPECT_EQ(crc32(0, big.data(), big.size()), want) << "level=" << level_name(l);
+    // zlib's continuation form: any split gives the CRC of the whole.
+    for (const std::size_t split : {std::size_t{1}, std::size_t{63}, std::size_t{64},
+                                    std::size_t{1000}, big.size() / 2, big.size() - 5})
+      EXPECT_EQ(crc32(crc32(0, big.data(), split), big.data() + split, big.size() - split),
+                want)
+          << "level=" << level_name(l) << " split=" << split;
+  }
+  set_level(max_supported_level());
+}
+
+TEST(SimdKernels, Crc32FoldIsInstalledExactlyWhenCpuHasPclmul) {
+  ASSERT_TRUE(set_level(Level::kScalar));
+  const auto slice8 = kernels().crc32;
+  for_each_simd_level([&](Level l) {
+    EXPECT_EQ(kernels().crc32 != slice8, pclmul_supported()) << "level=" << level_name(l);
+  });
+  if (!pclmul_supported())
+    GTEST_SKIP() << "CPU lacks PCLMULQDQ: the CRC-32 fold was not exercised; "
+                    "every level ran slice-by-8";
 }
 
 }  // namespace
