@@ -211,13 +211,13 @@ void BM_IdctBatch(benchmark::State& state, simd::Level level) {
   simd::set_level(ambient_level());
 }
 
-void BM_QuantZigzagBatch(benchmark::State& state, simd::Level level) {
+void BM_QuantizeBatch(benchmark::State& state, simd::Level level) {
   simd::set_level(level);
   const std::vector<float> coeffs = batch_blocks(13);
   const jpeg::ReciprocalTable recip(jpeg::QuantTable::annex_k_luma());
   std::vector<std::int16_t> out(kBatchBlocks * 64);
   for (auto _ : state) {
-    jpeg::quantize_zigzag_batch(coeffs.data(), kBatchBlocks, recip, out.data());
+    jpeg::quantize_batch(coeffs.data(), kBatchBlocks, recip, out.data());
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * kBatchBlocks);
@@ -253,8 +253,8 @@ void register_simd_level_benches() {
                                  level);
     benchmark::RegisterBenchmark(("BM_IdctBatch" + suffix).c_str(), BM_IdctBatch,
                                  level);
-    benchmark::RegisterBenchmark(("BM_QuantZigzagBatch" + suffix).c_str(),
-                                 BM_QuantZigzagBatch, level);
+    benchmark::RegisterBenchmark(("BM_QuantizeBatch" + suffix).c_str(), BM_QuantizeBatch,
+                                 level);
     benchmark::RegisterBenchmark(("BM_GemmAcc" + suffix).c_str(), BM_GemmAcc, level);
   }
   simd::set_level(ambient_level());

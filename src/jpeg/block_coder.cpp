@@ -96,17 +96,49 @@ void count_block_symbols(const QuantizedBlock& block, int& dc_pred, SymbolCounts
 
 namespace {
 
-// The shared per-block emit body: visits the set bits of `nonzero` (a
-// precomputed nonzero-lane mask over `zz`), deriving each run length from
+// Scan-order nonzero masks, one table per byte of a natural-order mask:
+// kScanMask[j][b] has bit kInvZigzag[8j + i] set for every set bit i of b.
+// OR-ing the eight lookups turns nonzero_mask_i16_64's natural-order mask
+// into the zig-zag-order one. Integer table moves only, so the result is
+// the same at every SIMD level.
+struct ScanMaskTable {
+  std::uint64_t t[8][256];
+};
+
+constexpr ScanMaskTable make_scan_mask_table() {
+  ScanMaskTable tab{};
+  for (int j = 0; j < 8; ++j)
+    for (int b = 0; b < 256; ++b)
+      for (int i = 0; i < 8; ++i)
+        if ((b >> i) & 1)
+          tab.t[j][b] |= 1ull << kInvZigzag[static_cast<std::size_t>(8 * j + i)];
+  return tab;
+}
+
+constexpr ScanMaskTable kScanMask = make_scan_mask_table();
+
+inline std::uint64_t scan_order_mask(std::uint64_t natural) {
+  std::uint64_t m = 0;
+  for (int j = 0; j < 8; ++j) m |= kScanMask.t[j][(natural >> (8 * j)) & 0xFF];
+  return m;
+}
+
+// The coefficient at scan position k of a natural-order block.
+inline int scan_coeff(const std::int16_t* block, int k) {
+  return block[kZigzag[static_cast<std::size_t>(k)]];
+}
+
+// The shared per-block emit body: visits the set bits of `nonzero` (the
+// block's nonzero-lane mask in scan order), deriving each run length from
 // bit positions instead of walking 63 branchy lanes. ZRL batches
 // (run >= 16) go out as one packed multi-symbol write, and everything
 // funnels through the caller's BlockCursor so the bit state lives in
 // registers for the whole block. Emitted bits are identical to the forward
 // run-length walk of encode_block.
-inline void emit_block_zz(BitWriter::BlockCursor& cur, const std::int16_t* zz,
-                          std::uint64_t nonzero, int& dc_pred,
-                          const HuffmanEncoder& dc_table, const HuffmanEncoder& ac_table) {
-  const int dc = zz[0];
+inline void emit_block(BitWriter::BlockCursor& cur, const std::int16_t* block,
+                       std::uint64_t nonzero, int& dc_pred, const HuffmanEncoder& dc_table,
+                       const HuffmanEncoder& ac_table) {
+  const int dc = block[0];
   const int diff = dc - dc_pred;
   dc_pred = dc;
   const int dc_cat = bit_category(diff);
@@ -124,7 +156,7 @@ inline void emit_block_zz(BitWriter::BlockCursor& cur, const std::int16_t* zz,
       ac_table.encode_zrl_run(cur, run >> 4);  // ZRL x (run / 16)
       run &= 15;
     }
-    const int v = zz[k];
+    const int v = scan_coeff(block, k);
     const int cat = bit_category(v);
     ac_table.encode_with_extra(cur, static_cast<std::uint8_t>((run << 4) | cat),
                                magnitude_bits(v, cat), cat);
@@ -134,37 +166,38 @@ inline void emit_block_zz(BitWriter::BlockCursor& cur, const std::int16_t* zz,
 
 }  // namespace
 
-void encode_block_zz(BitWriter& bw, const std::int16_t* zz, int& dc_pred,
-                     const HuffmanEncoder& dc_table, const HuffmanEncoder& ac_table) {
-  const std::uint64_t nonzero = simd::kernels().nonzero_mask_i16_64(zz);
+void encode_block(BitWriter& bw, const std::int16_t* block, int& dc_pred,
+                  const HuffmanEncoder& dc_table, const HuffmanEncoder& ac_table) {
+  const std::uint64_t nonzero = scan_order_mask(simd::kernels().nonzero_mask_i16_64(block));
   BitWriter::BlockCursor cur(bw);
-  emit_block_zz(cur, zz, nonzero, dc_pred, dc_table, ac_table);
+  emit_block(cur, block, nonzero, dc_pred, dc_table, ac_table);
   cur.commit();
 }
 
-void encode_blocks_zz(BitWriter& bw, const std::int16_t* zz, std::size_t count,
-                      int& dc_pred, const HuffmanEncoder& dc_table,
-                      const HuffmanEncoder& ac_table) {
+void encode_blocks(BitWriter& bw, const std::int16_t* blocks, std::size_t count,
+                   int& dc_pred, const HuffmanEncoder& dc_table,
+                   const HuffmanEncoder& ac_table) {
   // One dispatch lookup and one cursor for the whole run: the per-block
   // cost drops to a pointer-compare capacity check.
   const auto nonzero_mask = simd::kernels().nonzero_mask_i16_64;
   BitWriter::BlockCursor cur(bw);
-  for (std::size_t b = 0; b < count; ++b, zz += 64) {
+  for (std::size_t b = 0; b < count; ++b, blocks += 64) {
     cur.reserve_block();
-    emit_block_zz(cur, zz, nonzero_mask(zz), dc_pred, dc_table, ac_table);
+    emit_block(cur, blocks, scan_order_mask(nonzero_mask(blocks)), dc_pred, dc_table,
+               ac_table);
   }
   cur.commit();
 }
 
-void count_block_symbols_zz(const std::int16_t* zz, int& dc_pred, SymbolCounts& counts) {
-  const int dc = zz[0];
+void count_block_symbols(const std::int16_t* block, int& dc_pred, SymbolCounts& counts) {
+  const int dc = block[0];
   const int diff = dc - dc_pred;
   dc_pred = dc;
   ++counts.dc[static_cast<std::size_t>(bit_category(diff))];
 
-  // Mirrors encode_block_zz's mask walk so pass-1 statistics match the
+  // Mirrors encode_block's mask walk so pass-1 statistics match the
   // emitted symbols exactly.
-  std::uint64_t ac = simd::kernels().nonzero_mask_i16_64(zz) & ~1ull;
+  std::uint64_t ac = scan_order_mask(simd::kernels().nonzero_mask_i16_64(block)) & ~1ull;
   int prev = 0;
   while (ac != 0) {
     const int k = lowest_set_bit(ac);
@@ -175,7 +208,7 @@ void count_block_symbols_zz(const std::int16_t* zz, int& dc_pred, SymbolCounts& 
       counts.ac[0xF0] += static_cast<std::uint32_t>(run >> 4);
       run &= 15;
     }
-    ++counts.ac[static_cast<std::size_t>((run << 4) | bit_category(zz[k]))];
+    ++counts.ac[static_cast<std::size_t>((run << 4) | bit_category(scan_coeff(block, k)))];
   }
   if (prev != 63) ++counts.ac[0x00];
 }

@@ -1,5 +1,6 @@
 // Per-block entropy coding (T.81 F.1.2/F.2.2): DC DPCM with magnitude
-// categories, AC run-length coding with ZRL and EOB, in zig-zag order.
+// categories, AC run-length coding with ZRL and EOB, in zig-zag order over
+// natural-order (row-major) coefficient blocks.
 // A statistics-gathering pass mirrors the emit pass so the encoder can build
 // optimal Huffman tables in two passes.
 #pragma once
@@ -36,7 +37,9 @@ struct SymbolCounts {
 };
 
 /// Encodes one quantized block. `dc_pred` is the running DC predictor for
-/// the component and is updated in place.
+/// the component and is updated in place. This form walks all 63 AC lanes
+/// in scan order: the per-block reference that the pointer forms below are
+/// held to.
 void encode_block(BitWriter& bw, const QuantizedBlock& block, int& dc_pred,
                   const HuffmanEncoder& dc_table, const HuffmanEncoder& ac_table);
 
@@ -44,25 +47,24 @@ void encode_block(BitWriter& bw, const QuantizedBlock& block, int& dc_pred,
 /// encoding). Updates `dc_pred` identically to encode_block.
 void count_block_symbols(const QuantizedBlock& block, int& dc_pred, SymbolCounts& counts);
 
-/// Encodes one block whose 64 coefficients are already in zig-zag scan
-/// order (the layout `quantize_zigzag_batch` emits) — the coder reads the
-/// buffer linearly with no permutation lookups. Emits exactly the bits
-/// `encode_block` emits for the equivalent natural-order block.
-void encode_block_zz(BitWriter& bw, const std::int16_t* zz, int& dc_pred,
-                     const HuffmanEncoder& dc_table, const HuffmanEncoder& ac_table);
+/// Encodes one block of 64 natural-order coefficients (the layout
+/// `quantize_batch` emits). The coder maps the block's nonzero-lane mask to
+/// scan order and visits only the nonzero coefficients, reading each
+/// through kZigzag. Emits exactly the bits of the QuantizedBlock form.
+void encode_block(BitWriter& bw, const std::int16_t* block, int& dc_pred,
+                  const HuffmanEncoder& dc_table, const HuffmanEncoder& ac_table);
 
-/// Encodes `count` consecutive zig-zag-order blocks (64 int16 apiece,
-/// contiguous — a QuantPlane's layout) with one register-resident bit
-/// cursor and one SIMD dispatch lookup for the whole run, instead of per
-/// block. Bitstream-identical to `count` encode_block_zz calls. This is
-/// the single-component scan fast path; interleaved scans still go block
-/// by block.
-void encode_blocks_zz(BitWriter& bw, const std::int16_t* zz, std::size_t count,
-                      int& dc_pred, const HuffmanEncoder& dc_table,
-                      const HuffmanEncoder& ac_table);
+/// Encodes `count` consecutive natural-order blocks (64 int16 apiece,
+/// contiguous) with one register-resident bit cursor and one SIMD dispatch
+/// lookup for the whole run, instead of per block. Bitstream-identical to
+/// `count` encode_block calls. This is the single-component scan fast
+/// path; interleaved scans go block by block.
+void encode_blocks(BitWriter& bw, const std::int16_t* blocks, std::size_t count,
+                   int& dc_pred, const HuffmanEncoder& dc_table,
+                   const HuffmanEncoder& ac_table);
 
-/// Statistics pass over a zig-zag-order block, mirroring encode_block_zz.
-void count_block_symbols_zz(const std::int16_t* zz, int& dc_pred, SymbolCounts& counts);
+/// Statistics pass over a natural-order block, mirroring encode_block.
+void count_block_symbols(const std::int16_t* block, int& dc_pred, SymbolCounts& counts);
 
 /// Decodes one block into natural-order quantized coefficients. Returns
 /// false on a corrupt or truncated stream.

@@ -27,16 +27,16 @@ using image::PlaneF;
 using pipeline::CodecContext;
 using pipeline::kMaxComponents;
 
-// One frame component prepared for entropy coding. `zz` points into the
-// context's QuantPlane arena: block (gx, gy) starts at
-// zz[(gy * blocks_x + gx) * 64], coefficients already in zig-zag order.
+// One frame component as the stripe loop sees it. A stripe (one MCU row)
+// holds each component's blocks back to back: `v` block rows of `blocks_x`
+// blocks, starting `offset` blocks into the stripe, each block 64
+// natural-order coefficients.
 struct Component {
-  int id = 1;           // component identifier written to SOF0/SOS
-  int h = 1, v = 1;     // sampling factors
-  int tq = 0;           // quantization table index (0 = luma, 1 = chroma)
-  int blocks_x = 0;     // padded block-grid width
-  int blocks_y = 0;
-  const std::int16_t* zz = nullptr;
+  int id = 1;               // component identifier written to SOF0/SOS
+  int h = 1, v = 1;         // sampling factors
+  int tq = 0;               // quantization table index (0 = luma, 1 = chroma)
+  int blocks_x = 0;         // blocks per block row: h * MCUs per row
+  std::size_t offset = 0;   // first block of the component within a stripe
 };
 
 void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
@@ -131,12 +131,13 @@ int ceil_div(int a, int b) { return (a + b - 1) / b; }
 
 // Walks MCUs in scan order invoking fn(component_index, grid_x, grid_y) for
 // every data unit, handling the restart bookkeeping via the callbacks.
-// Templated over the component record so the pipeline and reference paths
-// share one traversal (same bit-exact scan order).
+// `mcu_index` counts MCUs across calls, so a stripe loop can walk one MCU
+// row per call. Templated over the component record so the pipeline and
+// reference paths share one traversal (same bit-exact scan order).
 template <typename Comp, typename BlockFn, typename RestartFn>
 void for_each_data_unit(const Comp* comps, std::size_t n_comps, int mcus_x, int mcus_y,
-                        int restart_interval, BlockFn&& fn, RestartFn&& restart) {
-  int mcu_index = 0;
+                        int restart_interval, int& mcu_index, BlockFn&& fn,
+                        RestartFn&& restart) {
   for (int my = 0; my < mcus_y; ++my) {
     for (int mx = 0; mx < mcus_x; ++mx) {
       if (restart_interval > 0 && mcu_index > 0 && mcu_index % restart_interval == 0)
@@ -166,47 +167,62 @@ void validate_config(PixelView img, const EncoderConfig& config) {
     throw std::invalid_argument("encode: bad restart interval");
 }
 
-// Runs the batched in-place DCT over the already-tiled CoeffPlane of
-// component `ci` and emits the zig-zag int16 coefficients into the
-// QuantPlane arena. No allocation once the arenas are warm, and no
-// per-block copies at any point.
-Component finish_pipeline_component(CodecContext& ctx, int ci, int id, int h, int v,
-                                    int tq, const QuantTable& table) {
-  pipeline::CoeffPlane& coeff = ctx.coeff[static_cast<std::size_t>(ci)];
-  pipeline::QuantPlane& quant = ctx.quant[static_cast<std::size_t>(ci)];
-  {
-    obs::Span span(obs::Stage::kEncodeDct, coeff.block_count());
-    fdct_batch(coeff.data(), coeff.block_count());
-  }
-  quant.reshape(coeff.blocks_x(), coeff.blocks_y());
-  {
-    obs::Span span(obs::Stage::kEncodeQuant, coeff.block_count());
-    quantize_zigzag_batch(coeff.data(), coeff.block_count(),
-                          ctx.reciprocal_for(table, tq), quant.data());
-  }
-  Component comp;
-  comp.id = id;
-  comp.h = h;
-  comp.v = v;
-  comp.tq = tq;
-  comp.blocks_x = coeff.blocks_x();
-  comp.blocks_y = coeff.blocks_y();
-  comp.zz = quant.data();
-  return comp;
+// Walks the data units of one stripe `q` (stripe layout, see Component) in
+// scan order: fn(component_index, block) for every block, restart(index)
+// before each MCU that opens a restart interval.
+template <typename BlockFn, typename RestartFn>
+void for_each_stripe_unit(const Component* comps, std::size_t n_comps, int mcus_x,
+                          int restart_interval, const std::int16_t* q, int& mcu_index,
+                          BlockFn&& fn, RestartFn&& restart) {
+  for_each_data_unit(
+      comps, n_comps, mcus_x, 1, restart_interval, mcu_index,
+      [&](std::size_t ci, int gx, int gy) {
+        const Component& c = comps[ci];
+        fn(ci, q + (c.offset + static_cast<std::size_t>(gy) * c.blocks_x + gx) * kBlockSize);
+      },
+      restart);
 }
 
-// Tiles `plane` into the component's CoeffPlane arena (level shift fused)
-// and finishes it.
-Component make_pipeline_component(CodecContext& ctx, int ci, const PlaneF& plane, int id,
-                                  int h, int v, int tq, int grid_bx, int grid_by,
-                                  const QuantTable& table) {
-  {
-    obs::Span span(obs::Stage::kEncodeTile,
-                   static_cast<std::uint64_t>(grid_bx) * grid_by);
-    ctx.coeff[static_cast<std::size_t>(ci)].tile_from(plane, grid_bx, grid_by, -128.0f);
+// Busy time of one encode per stage, summed across stripes. Clocks are read
+// only when the calling thread's trace is sampled. record() writes one span
+// per stage, laid end to end from the encode's start: the four spans never
+// overlap, they end before the encode returns, and the caller's self time
+// stays exact.
+class StageClock {
+ public:
+  StageClock() : trace_(obs::thread_trace_context()) {
+    if (trace_.trace_id != 0) start_ = last_ = obs::now_ns();
   }
-  return finish_pipeline_component(ctx, ci, id, h, v, tq, table);
-}
+
+  /// Charges the time since the previous lap (or the start) to `stage`,
+  /// one of kEncodeTile..kEncodeEntropy.
+  void lap(obs::Stage stage) {
+    if (trace_.trace_id == 0) return;
+    const std::uint64_t now = obs::now_ns();
+    sums_[slot(stage)] += now - last_;
+    last_ = now;
+  }
+
+  void record(std::uint64_t blocks) const {
+    std::uint64_t t = start_;
+    for (const obs::Stage stage : {obs::Stage::kEncodeTile, obs::Stage::kEncodeDct,
+                                   obs::Stage::kEncodeQuant, obs::Stage::kEncodeEntropy}) {
+      const std::uint64_t d = sums_[slot(stage)];
+      obs::record_span(trace_.trace_id, trace_.parent, stage, t, t + d, blocks);
+      t += d;
+    }
+  }
+
+ private:
+  static std::size_t slot(obs::Stage stage) {
+    return static_cast<std::size_t>(stage) - static_cast<std::size_t>(obs::Stage::kEncodeTile);
+  }
+
+  const obs::TraceContext trace_;
+  std::uint64_t start_ = 0;
+  std::uint64_t last_ = 0;
+  std::array<std::uint64_t, 4> sums_{};
+};
 
 }  // namespace
 
@@ -260,6 +276,7 @@ void append_config_bytes(const EncoderConfig& config, std::vector<std::uint8_t>&
 
 std::vector<std::uint8_t> encode(PixelView img, const EncoderConfig& config,
                                  pipeline::CodecContext& ctx) {
+  StageClock clock;
   validate_config(img, config);
 
   // Same resolution rule as effective_tables, but quality-scaled tables
@@ -278,52 +295,80 @@ std::vector<std::uint8_t> encode(PixelView img, const EncoderConfig& config,
   const QuantTable& chroma_q = *chroma_ptr;
   const bool color = img.channels == 3;
   const bool sub420 = color && config.subsampling == Subsampling::k420;
+  const ReciprocalTable* recip[2] = {&ctx.reciprocal_for(luma_q, 0),
+                                     color ? &ctx.reciprocal_for(chroma_q, 1) : nullptr};
 
-  // Component planes, tiled + transformed + quantized into the context
-  // arenas. Grayscale skips the chroma planes entirely.
+  // Frame layout. A stripe is one MCU row: 8 pixel rows, 16 for 4:2:0.
+  // Grayscale has the one luma component and no chroma at all.
+  const int mcu_px = sub420 ? 2 * kBlockDim : kBlockDim;
+  const int mcus_x = ceil_div(img.width, mcu_px);
+  const int mcus_y = ceil_div(img.height, mcu_px);
   std::array<Component, kMaxComponents> comps{};
   std::size_t n_comps = 0;
-  int mcus_x = 0, mcus_y = 0;
-  if (!color) {
-    // Grayscale tiles straight from the 8-bit pixels — no intermediate
-    // float plane at all.
-    mcus_x = ceil_div(img.width, kBlockDim);
-    mcus_y = ceil_div(img.height, kBlockDim);
-    ctx.coeff[0].reshape(mcus_x, mcus_y);
-    {
-      obs::Span span(obs::Stage::kEncodeTile,
-                     static_cast<std::uint64_t>(mcus_x) * mcus_y);
-      image::tile_image_blocks_into(img, 0, mcus_x, mcus_y, ctx.coeff[0].data(),
-                                    -128.0f);
-    }
-    comps[n_comps++] = finish_pipeline_component(ctx, 0, 1, 1, 1, 0, luma_q);
-  } else if (!sub420) {
-    image::to_ycbcr_into(img, ctx.ycc);
-    mcus_x = ceil_div(img.width, kBlockDim);
-    mcus_y = ceil_div(img.height, kBlockDim);
-    comps[n_comps++] =
-        make_pipeline_component(ctx, 0, ctx.ycc.y, 1, 1, 1, 0, mcus_x, mcus_y, luma_q);
-    comps[n_comps++] =
-        make_pipeline_component(ctx, 1, ctx.ycc.cb, 2, 1, 1, 1, mcus_x, mcus_y, chroma_q);
-    comps[n_comps++] =
-        make_pipeline_component(ctx, 2, ctx.ycc.cr, 3, 1, 1, 1, mcus_x, mcus_y, chroma_q);
-  } else {
-    image::to_ycbcr_into(img, ctx.ycc);
-    mcus_x = ceil_div(img.width, 2 * kBlockDim);
-    mcus_y = ceil_div(img.height, 2 * kBlockDim);
-    image::downsample_2x2_into(ctx.ycc.cb, ctx.chroma_small[0]);
-    image::downsample_2x2_into(ctx.ycc.cr, ctx.chroma_small[1]);
-    comps[n_comps++] = make_pipeline_component(ctx, 0, ctx.ycc.y, 1, 2, 2, 0, 2 * mcus_x,
-                                               2 * mcus_y, luma_q);
-    comps[n_comps++] = make_pipeline_component(ctx, 1, ctx.chroma_small[0], 2, 1, 1, 1,
-                                               mcus_x, mcus_y, chroma_q);
-    comps[n_comps++] = make_pipeline_component(ctx, 2, ctx.chroma_small[1], 3, 1, 1, 1,
-                                               mcus_x, mcus_y, chroma_q);
+  std::size_t stripe_blocks = 0;
+  const auto add_component = [&](int id, int hv, int tq) {
+    Component& c = comps[n_comps++];
+    c.id = id;
+    c.h = c.v = hv;
+    c.tq = tq;
+    c.blocks_x = hv * mcus_x;
+    c.offset = stripe_blocks;
+    stripe_blocks += static_cast<std::size_t>(c.blocks_x) * c.v;
+  };
+  add_component(1, sub420 ? 2 : 1, 0);
+  if (color) {
+    add_component(2, 1, 1);
+    add_component(3, 1, 1);
   }
+  const std::size_t total_blocks = stripe_blocks * static_cast<std::size_t>(mcus_y);
 
-  const auto zz_block = [&](std::size_t ci, int gx, int gy) {
-    const Component& c = comps[ci];
-    return c.zz + (static_cast<std::size_t>(gy) * c.blocks_x + gx) * kBlockSize;
+  // Stripe buffers. Quantized stripes overwrite one another, except under
+  // optimize_huffman, where every stripe is kept for the statistics pass.
+  pipeline::CoeffPlane& coeff = ctx.stripe_coeff;
+  coeff.reshape(static_cast<int>(stripe_blocks), 1);
+  pipeline::QuantPlane& quant = ctx.encode_quant;
+  quant.reshape(static_cast<int>(stripe_blocks), config.optimize_huffman ? mcus_y : 1);
+  const auto stripe_quant = [&](int my) {
+    const std::size_t row = config.optimize_huffman ? static_cast<std::size_t>(my) : 0;
+    return quant.data() + row * stripe_blocks * kBlockSize;
+  };
+
+  // Front end of stripe `my`: colour convert (grayscale tiles straight from
+  // the 8-bit pixels), tile with the level shift fused, transform, quantize
+  // into `out`. Tiling sees only the stripe's own rows, so the last stripe
+  // replicates the image's bottom row exactly as a whole-frame tiling would.
+  const std::size_t row_bytes = static_cast<std::size_t>(img.width) * img.channels;
+  const auto front_end = [&](int my, std::int16_t* out) {
+    const int y0 = my * mcu_px;
+    const PixelView rows(img.pixels + static_cast<std::size_t>(y0) * row_bytes, img.width,
+                         std::min(mcu_px, img.height - y0), img.channels);
+    float* blocks = coeff.data();
+    if (!color) {
+      image::tile_image_blocks_into(rows, 0, mcus_x, 1, blocks, -128.0f);
+    } else {
+      image::YCbCrPlanes& ycc = ctx.stripe_ycc;
+      image::to_ycbcr_into(rows, ycc);
+      std::array<const PlaneF*, kMaxComponents> planes = {&ycc.y, &ycc.cb, &ycc.cr};
+      if (sub420) {
+        image::downsample_2x2_into(ycc.cb, ctx.stripe_chroma[0]);
+        image::downsample_2x2_into(ycc.cr, ctx.stripe_chroma[1]);
+        planes[1] = &ctx.stripe_chroma[0];
+        planes[2] = &ctx.stripe_chroma[1];
+      }
+      for (std::size_t ci = 0; ci < n_comps; ++ci)
+        image::tile_blocks_into(*planes[ci], comps[ci].blocks_x, comps[ci].v,
+                                blocks + comps[ci].offset * kBlockSize, -128.0f);
+    }
+    clock.lap(obs::Stage::kEncodeTile);
+    fdct_batch(blocks, stripe_blocks);
+    clock.lap(obs::Stage::kEncodeDct);
+    for (std::size_t ci = 0; ci < n_comps; ++ci) {
+      const Component& c = comps[ci];
+      quantize_batch(blocks + c.offset * kBlockSize,
+                     static_cast<std::size_t>(c.blocks_x) * c.v, *recip[c.tq],
+                     out + c.offset * kBlockSize);
+    }
+    clock.lap(obs::Stage::kEncodeQuant);
   };
 
   // Huffman table specs: the context's cached static tables, or optimal
@@ -341,15 +386,19 @@ std::vector<std::uint8_t> encode(PixelView img, const EncoderConfig& config,
   HuffmanSpec opt_dc_luma, opt_ac_luma, opt_dc_chroma, opt_ac_chroma;
   std::optional<HuffmanEncoder> opt_enc[4];
   if (config.optimize_huffman) {
+    for (int my = 0; my < mcus_y; ++my) front_end(my, stripe_quant(my));
     std::array<SymbolCounts, 2> counts{};  // [0]=luma tables, [1]=chroma tables
     std::array<int, kMaxComponents> dc_pred{};
-    for_each_data_unit(
-        comps.data(), n_comps, mcus_x, mcus_y, config.restart_interval,
-        [&](std::size_t ci, int gx, int gy) {
-          count_block_symbols_zz(zz_block(ci, gx, gy), dc_pred[ci],
-                                 counts[static_cast<std::size_t>(comps[ci].tq)]);
-        },
-        [&](int) { dc_pred.fill(0); });
+    int mcu_index = 0;
+    for (int my = 0; my < mcus_y; ++my)
+      for_each_stripe_unit(
+          comps.data(), n_comps, mcus_x, config.restart_interval, stripe_quant(my),
+          mcu_index,
+          [&](std::size_t ci, const std::int16_t* block) {
+            count_block_symbols(block, dc_pred[ci],
+                                counts[static_cast<std::size_t>(comps[ci].tq)]);
+          },
+          [&](int) { dc_pred.fill(0); });
     opt_dc_luma = HuffmanSpec::build_optimal(counts[0].dc);
     opt_ac_luma = HuffmanSpec::build_optimal(counts[0].ac);
     dc_luma = &opt_dc_luma;
@@ -375,9 +424,6 @@ std::vector<std::uint8_t> encode(PixelView img, const EncoderConfig& config,
   // (~3 bits/pixel = 24 bytes/block); denser streams grow once or twice,
   // and the returned capacity stays close to the payload for callers that
   // keep many streams resident.
-  std::size_t total_blocks = 0;
-  for (std::size_t ci = 0; ci < n_comps; ++ci)
-    total_blocks += static_cast<std::size_t>(comps[ci].blocks_x) * comps[ci].blocks_y;
   std::vector<std::uint8_t> out;
   out.reserve(1024 + config.comment.size() + total_blocks * 24);
   out.push_back(0xFF);
@@ -395,32 +441,37 @@ std::vector<std::uint8_t> encode(PixelView img, const EncoderConfig& config,
   }
   if (config.restart_interval > 0) write_dri(out, config.restart_interval);
   write_sos_header(out, comps.data(), n_comps);
+  clock.lap(obs::Stage::kEncodeEntropy);
 
-  obs::Span entropy_span(obs::Stage::kEncodeEntropy, total_blocks);
   BitWriter bw(out);
   std::array<int, kMaxComponents> dc_pred{};
-  if (n_comps == 1 && config.restart_interval == 0) {
-    // Single-component scan without restarts: MCU order is plane raster
-    // order, so the whole scan is one contiguous block run — encode it
-    // through the batched cursor instead of per-block calls.
-    encode_blocks_zz(bw, comps[0].zz,
-                     static_cast<std::size_t>(comps[0].blocks_x) * comps[0].blocks_y,
-                     dc_pred[0], *dc_enc_luma, *ac_enc_luma);
-  } else {
-    for_each_data_unit(
-        comps.data(), n_comps, mcus_x, mcus_y, config.restart_interval,
-        [&](std::size_t ci, int gx, int gy) {
-          const bool luma_tables = comps[ci].tq == 0;
-          encode_block_zz(bw, zz_block(ci, gx, gy), dc_pred[ci],
-                          luma_tables ? *dc_enc_luma : *dc_enc_chroma,
-                          luma_tables ? *ac_enc_luma : *ac_enc_chroma);
-        },
-        [&](int rst_index) {
-          bw.put_marker(static_cast<std::uint8_t>(kRST0 + rst_index));
-          dc_pred.fill(0);
-        });
+  int mcu_index = 0;
+  for (int my = 0; my < mcus_y; ++my) {
+    if (!config.optimize_huffman) front_end(my, stripe_quant(my));
+    const std::int16_t* q = stripe_quant(my);
+    if (n_comps == 1 && config.restart_interval == 0) {
+      // Single-component scan without restarts: MCU order is block raster
+      // order, so a stripe is one contiguous block run — encode it through
+      // the batched cursor instead of per-block calls.
+      encode_blocks(bw, q, stripe_blocks, dc_pred[0], *dc_enc_luma, *ac_enc_luma);
+    } else {
+      for_each_stripe_unit(
+          comps.data(), n_comps, mcus_x, config.restart_interval, q, mcu_index,
+          [&](std::size_t ci, const std::int16_t* block) {
+            const bool luma_tables = comps[ci].tq == 0;
+            encode_block(bw, block, dc_pred[ci], luma_tables ? *dc_enc_luma : *dc_enc_chroma,
+                         luma_tables ? *ac_enc_luma : *ac_enc_chroma);
+          },
+          [&](int rst_index) {
+            bw.put_marker(static_cast<std::uint8_t>(kRST0 + rst_index));
+            dc_pred.fill(0);
+          });
+    }
+    clock.lap(obs::Stage::kEncodeEntropy);
   }
   bw.put_marker(kEOI);
+  clock.lap(obs::Stage::kEncodeEntropy);
+  clock.record(total_blocks);
   return out;
 }
 
@@ -551,8 +602,9 @@ std::vector<std::uint8_t> encode_reference(const image::Image& img,
   if (config.optimize_huffman) {
     std::array<SymbolCounts, 2> counts{};
     std::vector<int> dc_pred(comps.size(), 0);
+    int mcu_index = 0;
     for_each_data_unit(
-        comps.data(), comps.size(), mcus_x, mcus_y, config.restart_interval,
+        comps.data(), comps.size(), mcus_x, mcus_y, config.restart_interval, mcu_index,
         [&](std::size_t ci, int gx, int gy) {
           count_block_symbols(block_of(ci, gx, gy), dc_pred[ci],
                               counts[static_cast<std::size_t>(comps[ci].tq)]);
@@ -590,8 +642,9 @@ std::vector<std::uint8_t> encode_reference(const image::Image& img,
 
   BitWriter bw(out);
   std::vector<int> dc_pred(comps.size(), 0);
+  int mcu_index = 0;
   for_each_data_unit(
-      comps.data(), comps.size(), mcus_x, mcus_y, config.restart_interval,
+      comps.data(), comps.size(), mcus_x, mcus_y, config.restart_interval, mcu_index,
       [&](std::size_t ci, int gx, int gy) {
         const bool luma_tables = comps[ci].tq == 0;
         encode_block(bw, block_of(ci, gx, gy), dc_pred[ci],

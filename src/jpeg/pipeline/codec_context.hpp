@@ -3,15 +3,19 @@
 // A CodecContext owns everything an encode or decode needs beyond the image
 // itself:
 //
-//  * scratch arenas — YCbCr planes, downsampled chroma, one CoeffPlane and
-//    one QuantPlane per component, decode-side coefficient stores. All of
-//    them reshape in place. A warm context *encodes* a stream of
-//    same-sized images with zero per-block and zero per-image allocations
-//    (the returned byte vector aside). Decode batches through the same
-//    arenas, and colour reconstruction runs row by row through a small
-//    chroma row ring (`decode_rows`), so once warm the returned Image is
-//    its only allocation that grows with the image; header parsing adds a
-//    few small ones of fixed size.
+//  * scratch buffers, all of which reshape in place. The encoder works one
+//    MCU row (a stripe of 8 pixel rows, 16 for 4:2:0) at a time: it colour
+//    converts, tiles, transforms, quantizes and entropy-codes a stripe
+//    before the next one starts, so its buffers hold one stripe and grow
+//    with the image width, not its area (about 250 KB for a 1024-wide
+//    4:4:4 frame). Only optimize_huffman, which needs every symbol count
+//    before the first bit, keeps the whole frame's quantized blocks (2
+//    bytes per coefficient). A warm context *encodes* with no allocation
+//    besides the returned byte vector. Decode batches through whole-frame
+//    coefficient stores, and colour reconstruction runs row by row through
+//    a small chroma row ring (`decode_rows`), so once warm the returned
+//    Image is its only allocation that grows with the image; header
+//    parsing adds a few small ones of fixed size.
 //  * the static (Annex K.3) Huffman specs and their derived encoder tables,
 //    built once per context instead of once per image — dataset-level
 //    callers with optimize_huffman off no longer re-derive them per image.
@@ -89,11 +93,13 @@ class CodecContext {
   };
   const ReuseCounters& reuse_counters() const { return counters_; }
 
-  // --- encode-side arenas -------------------------------------------------
-  image::YCbCrPlanes ycc;                        ///< color-transform output
-  std::array<image::PlaneF, 2> chroma_small;     ///< 4:2:0 downsampled Cb/Cr
-  std::array<CoeffPlane, kMaxComponents> coeff;  ///< float DCT planes
-  std::array<QuantPlane, kMaxComponents> quant;  ///< zig-zag int16 planes
+  // --- encode-side stripe buffers (one MCU row) --------------------------
+  image::YCbCrPlanes stripe_ycc;               ///< the stripe's colour planes
+  std::array<image::PlaneF, 2> stripe_chroma;  ///< its 4:2:0 downsampled Cb/Cr
+  CoeffPlane stripe_coeff;  ///< its float blocks, components back to back
+  /// Quantized natural-order blocks in stripe layout: one stripe, or every
+  /// stripe of the frame under optimize_huffman.
+  QuantPlane encode_quant;
 
   // --- decode-side arenas -------------------------------------------------
   std::array<QuantPlane, kMaxComponents> decode_coeffs;  ///< natural-order int16

@@ -1,19 +1,20 @@
 // Contiguous structure-of-arrays coefficient storage — the codec pipeline's
-// working representation for one frame component.
+// working representation for a run of 8x8 blocks: one MCU row (stripe) of
+// every component on the encode side, one whole frame component on the
+// decode side.
 //
-// A CoeffPlane holds every 8x8 block of a component back to back with a
-// stride of 64 floats: block (bx, by) of the grid lives at
-// data()[(by * blocks_x + bx) * 64] in natural (row-major) order. This is
-// the layout the batched transforms (jpeg::fdct_batch / jpeg::idct_batch)
-// and the fused quantize+zigzag pass operate on in place, replacing the
-// seed's per-image std::vector<BlockF> with one flat reusable buffer.
+// A CoeffPlane holds its blocks back to back with a stride of 64 floats:
+// block (bx, by) of the grid lives at data()[(by * blocks_x + bx) * 64] in
+// natural (row-major) order. This is the layout the batched transforms
+// (jpeg::fdct_batch / jpeg::idct_batch) and the batched quantize pass
+// operate on, replacing the seed's per-image std::vector<BlockF> with one
+// flat reusable buffer.
 //
-// QuantPlane is the int16 sibling that the entropy coder consumes: 64
-// zig-zag-ordered quantized coefficients per block, same block addressing.
+// QuantPlane is the int16 sibling that the entropy coder reads and writes:
+// 64 natural-order quantized coefficients per block, same block addressing.
 //
-// Both containers reshape without releasing capacity, so a CodecContext
-// that encodes a stream of same-sized images performs zero per-block (and,
-// after warmup, zero per-image) allocations.
+// Both containers reshape without releasing capacity, so a warm
+// CodecContext performs no per-block and no per-image allocations.
 #pragma once
 
 #include <cstdint>

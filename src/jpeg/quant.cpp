@@ -84,9 +84,9 @@ QuantizedBlock quantize(const image::BlockF& coeffs, const ReciprocalTable& reci
   return out;
 }
 
-void quantize_zigzag_batch(const float* coeffs, std::size_t count,
-                           const ReciprocalTable& recip, std::int16_t* out) {
-  simd::kernels().quantize_zigzag_batch(coeffs, count, recip.data(), out);
+void quantize_batch(const float* coeffs, std::size_t count, const ReciprocalTable& recip,
+                    std::int16_t* out) {
+  simd::kernels().quantize_batch(coeffs, count, recip.data(), out);
 }
 
 image::BlockF dequantize(const QuantizedBlock& quantized, const QuantTable& table) {

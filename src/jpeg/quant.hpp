@@ -106,12 +106,13 @@ QuantizedBlock quantize(const image::BlockF& coeffs, const QuantTable& table);
 /// Same rule via a prebuilt reciprocal table (no per-call divides).
 QuantizedBlock quantize(const image::BlockF& coeffs, const ReciprocalTable& recip);
 
-/// Fused quantize + zig-zag reorder over a contiguous coefficient plane:
-/// reads `count` blocks of 64 natural-order floats from `coeffs` and writes
-/// `count` blocks of 64 zig-zag-order int16 coefficients to `out` — the
-/// layout the Huffman coder consumes directly.
-void quantize_zigzag_batch(const float* coeffs, std::size_t count,
-                           const ReciprocalTable& recip, std::int16_t* out);
+/// Batched quantize over contiguous coefficient blocks: reads `count`
+/// blocks of 64 natural-order floats from `coeffs` and writes `count`
+/// blocks of 64 natural-order int16 coefficients to `out`, the layout the
+/// Huffman coder reads (it walks them in zig-zag order through kZigzag).
+/// Identical to the per-block `quantize` at every SIMD level.
+void quantize_batch(const float* coeffs, std::size_t count, const ReciprocalTable& recip,
+                    std::int16_t* out);
 
 /// Dequantizes: c' = v * q.
 image::BlockF dequantize(const QuantizedBlock& quantized, const QuantTable& table);

@@ -682,10 +682,11 @@ bool Server::handle_frame(Conn* conn, Frame&& frame) {
       done_.push_back(Done{conn_id, std::move(bytes), trace_id, trace_root, trace_start});
     }
     wake();
-    {
-      std::lock_guard<std::mutex> cb_lock(cb_mutex_);
-      --callbacks_outstanding_;
-    }
+    // Notify under the lock: once the count reads 0, stop() may return and
+    // ~Server destroy cb_cv_, so the notify must finish before the waiter
+    // can reacquire cb_mutex_ and see it.
+    std::lock_guard<std::mutex> cb_lock(cb_mutex_);
+    --callbacks_outstanding_;
     cb_cv_.notify_all();
   });
 

@@ -25,9 +25,10 @@
 
 namespace dnj::obs {
 
-/// Pipeline stages a span can label. Codec stages are recorded per
-/// component batch; net stages by the event loop; queue/batch stages by
-/// the serve workers.
+/// Pipeline stages a span can label. An encode records each of its four
+/// stages once, summed over the MCU rows it streams and laid end to end
+/// from its start; decode stages are recorded per pass; net stages by the
+/// event loop; queue/batch stages by the serve workers.
 enum class Stage : std::uint8_t {
   kRequest = 0,        // whole-request root span
   kNetRead,            // socket read burst that completed the frame
@@ -36,10 +37,10 @@ enum class Stage : std::uint8_t {
   kQueueWait,          // enqueue -> picked up by a worker
   kBatch,              // worker-side batch execution (tag = batch size)
   kCacheProbe,         // result-cache digest + lookup
-  kEncodeTile,         // color convert + tile into block planes
-  kEncodeDct,          // forward DCT batch
-  kEncodeQuant,        // quantize + zig-zag batch
-  kEncodeEntropy,      // Huffman emit (tag = total blocks)
+  kEncodeTile,         // color convert (+ 4:2:0 downsample) + tile (tag = blocks)
+  kEncodeDct,          // forward DCT batch (tag = blocks)
+  kEncodeQuant,        // natural-order quantize batch (tag = blocks)
+  kEncodeEntropy,      // headers, symbol counts, Huffman emit (tag = blocks)
   kDecodeEntropy,      // header parse + Huffman decode (tag = scan bytes)
   kDecodePixels,       // dequantize + IDCT + untile + color
   kInfer,              // NN forward pass

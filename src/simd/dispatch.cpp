@@ -47,7 +47,7 @@ const KernelTable* compiled_table(Level level) {
 void overlay(KernelTable& dst, const KernelTable& src) {
   if (src.fdct_batch) dst.fdct_batch = src.fdct_batch;
   if (src.idct_batch) dst.idct_batch = src.idct_batch;
-  if (src.quantize_zigzag_batch) dst.quantize_zigzag_batch = src.quantize_zigzag_batch;
+  if (src.quantize_batch) dst.quantize_batch = src.quantize_batch;
   if (src.dequantize_batch) dst.dequantize_batch = src.dequantize_batch;
   if (src.tile_f32) dst.tile_f32 = src.tile_f32;
   if (src.tile_u8) dst.tile_u8 = src.tile_u8;

@@ -54,11 +54,11 @@ struct KernelTable {
   void (*fdct_batch)(float* blocks, std::size_t count);
   /// In-place inverse DCT over `count` contiguous 64-float blocks.
   void (*idct_batch)(float* blocks, std::size_t count);
-  /// Fused quantize + zig-zag: natural-order float blocks -> zig-zag int16
+  /// Batched quantize: natural-order float blocks -> natural-order int16
   /// blocks via v = round_half_even(c * recip[k]) with clamp to int16.
   /// `recip` is the 64-entry natural-order reciprocal array.
-  void (*quantize_zigzag_batch)(const float* coeffs, std::size_t count,
-                                const float* recip, std::int16_t* out);
+  void (*quantize_batch)(const float* coeffs, std::size_t count, const float* recip,
+                         std::int16_t* out);
   /// Batched dequantize: c' = v * step[k], natural-order int16 -> float.
   void (*dequantize_batch)(const std::int16_t* quantized, std::size_t count,
                            const float* steps, float* coeffs);
@@ -105,10 +105,10 @@ struct KernelTable {
   void (*gemm_acc)(const float* a, const float* b, float* c, int m, int k, int n);
   /// C[m x n] += A^T * B with A stored [k x m] (k-major).
   void (*gemm_at_acc)(const float* a, const float* b, float* c, int m, int k, int n);
-  /// Nonzero-lane bitmask over one 64-entry int16 block (zig-zag or natural
-  /// order): bit k set iff v[k] != 0. Exact integer predicate, identical at
-  /// every level — the entropy coder iterates set bits instead of walking
-  /// 63 branchy lanes.
+  /// Nonzero-lane bitmask over one 64-entry int16 block: bit k set iff
+  /// v[k] != 0. Exact integer predicate, identical at every level — the
+  /// entropy coder maps it to scan order and iterates set bits instead of
+  /// walking 63 branchy lanes.
   std::uint64_t (*nonzero_mask_i16_64)(const std::int16_t* v);
   /// JPEG byte stuffing: copies `n` bytes from `src` to `dst`, inserting a
   /// 0x00 after every 0xFF. `dst` must have room for 2*n bytes. Returns the

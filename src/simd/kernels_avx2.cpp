@@ -125,15 +125,14 @@ void idct_batch_avx2(float* blocks, std::size_t count) {
 
 // ---------------------------------------------------------- quant/dequant
 
-void quantize_zigzag_batch_avx2(const float* coeffs, std::size_t count,
-                                const float* recip, std::int16_t* out) {
+void quantize_batch_avx2(const float* coeffs, std::size_t count, const float* recip,
+                         std::int16_t* out) {
   const __m256 lo = _mm256_set1_ps(-32768.0f);
   const __m256 hi = _mm256_set1_ps(32767.0f);
   const __m256 bias = _mm256_set1_ps(12582912.0f);  // 1.5 * 2^23
   for (std::size_t b = 0; b < count; ++b) {
     const float* c = coeffs + b * kBlockSize;
-    std::int16_t* zz = out + b * kBlockSize;
-    alignas(32) std::int16_t natural[kBlockSize];
+    std::int16_t* q = out + b * kBlockSize;
     for (int k = 0; k < kBlockSize; k += 16) {
       __m256 v0 = _mm256_mul_ps(_mm256_loadu_ps(c + k), _mm256_loadu_ps(recip + k));
       __m256 v1 =
@@ -147,9 +146,8 @@ void quantize_zigzag_batch_avx2(const float* coeffs, std::size_t count,
       // packs interleaves the 128-bit lanes; permute restores linear order.
       const __m256i packed = _mm256_permute4x64_epi64(_mm256_packs_epi32(i0, i1),
                                                       _MM_SHUFFLE(3, 1, 2, 0));
-      _mm256_store_si256(reinterpret_cast<__m256i*>(natural + k), packed);
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(q + k), packed);
     }
-    detail::zigzag_permute_i16(natural, zz);
   }
 }
 
@@ -242,21 +240,38 @@ void untile_f32_avx2(const float* src, int grid_bx, int grid_by, float* plane, i
 
 // ------------------------------------------------------------------- color
 
+// Deinterleaves eight RGB pixels (24 bytes) into R, G and B float lanes in
+// registers. A 16-byte and an 8-byte load read exactly the 24 bytes; vpermd
+// moves pixels 0-3 (bytes 0-11) into the low 128-bit lane and pixels 4-7
+// (bytes 12-23) into the high one, and one vpshufb per channel zero-extends
+// that channel's four bytes per lane to int32. u8 -> float is exact.
+inline void load_rgb8(const std::uint8_t* rgb, __m256* r, __m256* g, __m256* b) {
+  const __m256i bytes = _mm256_inserti128_si256(
+      _mm256_castsi128_si256(_mm_loadu_si128(reinterpret_cast<const __m128i*>(rgb))),
+      _mm_loadl_epi64(reinterpret_cast<const __m128i*>(rgb + 16)), 1);
+  const __m256i px =
+      _mm256_permutevar8x32_epi32(bytes, _mm256_setr_epi32(0, 1, 2, 0, 3, 4, 5, 0));
+  const auto channel = [px](char o) {
+    const __m256i pick = _mm256_setr_epi8(
+        o, -1, -1, -1, static_cast<char>(o + 3), -1, -1, -1, static_cast<char>(o + 6), -1,
+        -1, -1, static_cast<char>(o + 9), -1, -1, -1,  //
+        o, -1, -1, -1, static_cast<char>(o + 3), -1, -1, -1, static_cast<char>(o + 6), -1,
+        -1, -1, static_cast<char>(o + 9), -1, -1, -1);
+    return _mm256_cvtepi32_ps(_mm256_shuffle_epi8(px, pick));
+  };
+  *r = channel(0);
+  *g = channel(1);
+  *b = channel(2);
+}
+
 void rgb_to_ycbcr_avx2(const std::uint8_t* rgb, std::size_t n, float* y, float* cb,
                        float* cr) {
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    // Deinterleave scalar (u8 -> float conversion is exact), transform
-    // vectorized — lanes = pixels.
-    alignas(32) float r8[8], g8[8], b8[8];
-    for (int p = 0; p < 8; ++p) {
-      r8[p] = static_cast<float>(rgb[(i + p) * 3]);
-      g8[p] = static_cast<float>(rgb[(i + p) * 3 + 1]);
-      b8[p] = static_cast<float>(rgb[(i + p) * 3 + 2]);
-    }
+    V8 r, g, b;
+    load_rgb8(rgb + i * 3, &r.v, &g.v, &b.v);
     V8 vy, vcb, vcr;
-    detail::ycbcr_from_rgb_vec(V8::load(r8), V8::load(g8), V8::load(b8), &vy, &vcb,
-                               &vcr);
+    detail::ycbcr_from_rgb_vec(r, g, b, &vy, &vcb, &vcr);
     vy.store(y + i);
     vcb.store(cb + i);
     vcr.store(cr + i);
@@ -443,7 +458,7 @@ const KernelTable* avx2_kernels() {
   static const KernelTable table = {
       &fdct_batch_avx2,
       &idct_batch_avx2,
-      &quantize_zigzag_batch_avx2,
+      &quantize_batch_avx2,
       &dequantize_batch_avx2,
       &tile_f32_avx2,
       &tile_u8_avx2,

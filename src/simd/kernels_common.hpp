@@ -2,9 +2,9 @@
 //
 // Two kinds of sharing live here:
 //
-//  * scalar edge/tail helpers (block tiling at plane edges, the zig-zag
-//    permute, the slice-by-8 CRC-32) that every level runs unchanged, so
-//    the slow paths are one definition instead of three;
+//  * scalar edge/tail helpers (block tiling at plane edges, the slice-by-8
+//    CRC-32) that every level runs unchanged, so the slow paths are one
+//    definition instead of three;
 //  * kernel bodies templated over a tiny vector wrapper `V` (load/store/
 //    set1 + arithmetic operators, lane count V::kWidth). Each SIMD TU
 //    instantiates them with its own wrapper; because the template mirrors
@@ -17,8 +17,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-
-#include "jpeg/zigzag.hpp"
 
 namespace dnj::simd::detail {
 
@@ -69,13 +67,6 @@ static inline void tile_full_block_u8(const std::uint8_t* row, std::size_t row_s
   for (int y = 0; y < kBlockDim; ++y, row += row_stride, blk += kBlockDim)
     for (int x = 0; x < kBlockDim; ++x)
       blk[x] = static_cast<float>(row[static_cast<std::size_t>(x) * ch]) + bias;
-}
-
-/// Permutes one block of natural-order int16 coefficients into zig-zag scan
-/// order (integer moves only — level-independent by construction).
-static inline void zigzag_permute_i16(const std::int16_t* natural, std::int16_t* zz) {
-  for (int k = 0; k < 64; ++k)
-    zz[k] = natural[jpeg::kZigzag[static_cast<std::size_t>(k)]];
 }
 
 // ------------------------------------------------------------------- CRC-32

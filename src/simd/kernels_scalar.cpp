@@ -20,18 +20,14 @@ namespace {
 using detail::kBlockDim;
 using detail::kBlockSize;
 
-void quantize_zigzag_batch_scalar(const float* coeffs, std::size_t count,
-                                  const float* recip, std::int16_t* out) {
+void quantize_batch_scalar(const float* coeffs, std::size_t count, const float* recip,
+                           std::int16_t* out) {
+  // Per coefficient this is the exact arithmetic of quantize_coeff, so the
+  // output matches the per-block quantize() path bit for bit.
   for (std::size_t b = 0; b < count; ++b) {
     const float* c = coeffs + b * kBlockSize;
-    std::int16_t* zz = out + b * kBlockSize;
-    // Quantize in natural order first, then permute the int16 results into
-    // scan order. Per coefficient this is the exact arithmetic of
-    // quantize_coeff, so the output matches the per-block quantize() path
-    // bit for bit.
-    std::int16_t natural[kBlockSize];
-    for (int k = 0; k < kBlockSize; ++k) natural[k] = jpeg::quantize_coeff(c[k], recip[k]);
-    detail::zigzag_permute_i16(natural, zz);
+    std::int16_t* q = out + b * kBlockSize;
+    for (int k = 0; k < kBlockSize; ++k) q[k] = jpeg::quantize_coeff(c[k], recip[k]);
   }
 }
 
@@ -210,7 +206,7 @@ const KernelTable* scalar_kernels() {
   static const KernelTable table = {
       &jpeg::fdct_batch_scalar,
       &jpeg::idct_batch_scalar,
-      &quantize_zigzag_batch_scalar,
+      &quantize_batch_scalar,
       &dequantize_batch_scalar,
       &tile_f32_scalar,
       &tile_u8_scalar,

@@ -108,15 +108,14 @@ void idct_batch_sse2(float* blocks, std::size_t count) {
 
 // ---------------------------------------------------------- quant/dequant
 
-void quantize_zigzag_batch_sse2(const float* coeffs, std::size_t count,
-                                const float* recip, std::int16_t* out) {
+void quantize_batch_sse2(const float* coeffs, std::size_t count, const float* recip,
+                         std::int16_t* out) {
   const __m128 lo = _mm_set1_ps(-32768.0f);
   const __m128 hi = _mm_set1_ps(32767.0f);
   const __m128 bias = _mm_set1_ps(12582912.0f);  // 1.5 * 2^23
   for (std::size_t b = 0; b < count; ++b) {
     const float* c = coeffs + b * kBlockSize;
-    std::int16_t* zz = out + b * kBlockSize;
-    alignas(16) std::int16_t natural[kBlockSize];
+    std::int16_t* q = out + b * kBlockSize;
     for (int k = 0; k < kBlockSize; k += 8) {
       __m128 v0 = _mm_mul_ps(_mm_loadu_ps(c + k), _mm_loadu_ps(recip + k));
       __m128 v1 = _mm_mul_ps(_mm_loadu_ps(c + k + 4), _mm_loadu_ps(recip + k + 4));
@@ -126,9 +125,8 @@ void quantize_zigzag_batch_sse2(const float* coeffs, std::size_t count,
       v1 = _mm_min_ps(_mm_max_ps(v1, lo), hi);
       const __m128i i0 = _mm_cvtps_epi32(v0);  // exact: values are integral
       const __m128i i1 = _mm_cvtps_epi32(v1);
-      _mm_store_si128(reinterpret_cast<__m128i*>(natural + k), _mm_packs_epi32(i0, i1));
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(q + k), _mm_packs_epi32(i0, i1));
     }
-    detail::zigzag_permute_i16(natural, zz);
   }
 }
 
@@ -513,7 +511,7 @@ const KernelTable* sse2_kernels() {
   static const KernelTable table = {
       &fdct_batch_sse2,
       &idct_batch_sse2,
-      &quantize_zigzag_batch_sse2,
+      &quantize_batch_sse2,
       &dequantize_batch_sse2,
       &tile_f32_sse2,
       &tile_u8_sse2,

@@ -1,4 +1,5 @@
-// Heap-allocation budget of a warm-context colour decode.
+// Heap-allocation budgets of the codec: a warm-context colour decode, and
+// an encode, which works one MCU row at a time through stripe buffers.
 //
 // This binary replaces the global allocation functions with counting
 // wrappers around malloc/free, which is why it is a test binary of its own.
@@ -110,6 +111,33 @@ TEST(DecodeAllocations, WarmColourDecodeAllocatesOnlyThePixelBuffer) {
   // Everything else (header parsing) does not grow with the image.
   EXPECT_EQ(tb.bytes - tb.large_bytes, ts.bytes - ts.large_bytes);
   EXPECT_EQ(tb.calls, ts.calls);
+}
+
+TEST(EncodeAllocations, ColdEncodeBuffersGrowWithWidthNotArea) {
+  // A 1024x1024 4:4:4 frame: the stripe buffers hold one MCU row (8 pixel
+  // rows of three components) instead of 30 MB of whole-frame planes.
+  const image::Image img = textured_rgb(1024, 1024, 3);
+  EncoderConfig cfg;
+  cfg.subsampling = Subsampling::k444;
+  pipeline::CodecContext ctx;
+  std::vector<std::uint8_t> stream;
+  const Tally t = count_allocations([&] { stream = encode(img, cfg, ctx); });
+  ASSERT_GE(t.bytes, stream.capacity());
+  EXPECT_LT(t.bytes - stream.capacity(), std::size_t{1} << 20)
+      << "a cold 1024x1024 4:4:4 encode allocates " << t.bytes - stream.capacity()
+      << " bytes besides its " << stream.capacity() << "-byte stream";
+}
+
+TEST(EncodeAllocations, WarmEncodeAllocatesOnlyTheStream) {
+  const image::Image img = textured_rgb(1024, 1024, 4);
+  EncoderConfig cfg;
+  cfg.subsampling = Subsampling::k444;
+  pipeline::CodecContext ctx;
+  std::vector<std::uint8_t> stream = encode(img, cfg, ctx);
+  const Tally t = count_allocations([&] { stream = encode(img, cfg, ctx); });
+  EXPECT_EQ(t.calls, 1u) << "a warm 1024x1024 4:4:4 encode makes " << t.calls
+                         << " allocations";
+  EXPECT_EQ(t.bytes, stream.capacity());
 }
 
 }  // namespace

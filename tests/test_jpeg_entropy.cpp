@@ -12,8 +12,8 @@
 //    std::runtime_error (and surface as kDecodeError through the api
 //    façade), never hang, crash or read out of bounds. Run under the
 //    ASan/UBSan CI legs like every other test.
-//  * Batched emission — encode_blocks_zz must emit byte-identical streams
-//    to per-block encode_block_zz, and the BlockCursor must match the
+//  * Batched emission — encode_blocks must emit byte-identical streams
+//    to per-block encode_block, and the BlockCursor must match the
 //    BitWriter bit for bit.
 #include <gtest/gtest.h>
 
@@ -371,16 +371,16 @@ TEST(EntropyRobustness, ApiSurfacesTypedDecodeError) {
 // Batched emission
 // ---------------------------------------------------------------------------
 
-// Zig-zag planes exercising every emission shape: dense noise, long zero
+// Natural-order planes exercising every emission shape: dense noise, long zero
 // runs (1-3 ZRLs), trailing nonzero at k=63, all-zero blocks, maximum
 // magnitudes.
 std::vector<std::int16_t> emission_plane(std::uint64_t seed, std::size_t blocks) {
   std::mt19937_64 rng(seed);
   std::uniform_int_distribution<int> val(-1023, 1023);
   std::uniform_int_distribution<int> lane(1, 63);
-  std::vector<std::int16_t> zz(blocks * 64, 0);
+  std::vector<std::int16_t> plane(blocks * 64, 0);
   for (std::size_t b = 0; b < blocks; ++b) {
-    std::int16_t* blk = zz.data() + b * 64;
+    std::int16_t* blk = plane.data() + b * 64;
     blk[0] = static_cast<std::int16_t>(val(rng));
     switch (b % 5) {
       case 0:  // dense
@@ -403,7 +403,7 @@ std::vector<std::int16_t> emission_plane(std::uint64_t seed, std::size_t blocks)
         break;
     }
   }
-  return zz;
+  return plane;
 }
 
 TEST(BatchEncode, MatchesPerBlockBitstream) {
@@ -411,19 +411,19 @@ TEST(BatchEncode, MatchesPerBlockBitstream) {
   const auto& huff = ctx.static_huffman();
   for (const std::uint64_t seed : {31ull, 32ull, 33ull}) {
     for (const std::size_t blocks : {std::size_t{1}, std::size_t{7}, std::size_t{160}}) {
-      const std::vector<std::int16_t> zz = emission_plane(seed, blocks);
+      const std::vector<std::int16_t> plane = emission_plane(seed, blocks);
       std::vector<std::uint8_t> per_block, batched;
       {
         BitWriter bw(per_block);
         int dc_pred = 0;
         for (std::size_t b = 0; b < blocks; ++b)
-          encode_block_zz(bw, zz.data() + b * 64, dc_pred, huff.dc_luma, huff.ac_luma);
+          encode_block(bw, plane.data() + b * 64, dc_pred, huff.dc_luma, huff.ac_luma);
         bw.flush();
       }
       {
         BitWriter bw(batched);
         int dc_pred = 0;
-        encode_blocks_zz(bw, zz.data(), blocks, dc_pred, huff.dc_luma, huff.ac_luma);
+        encode_blocks(bw, plane.data(), blocks, dc_pred, huff.dc_luma, huff.ac_luma);
         bw.flush();
       }
       EXPECT_EQ(per_block, batched) << "seed=" << seed << " blocks=" << blocks;

@@ -1,6 +1,6 @@
 // Equivalence suite for the planar block-batch codec core: the batched
-// pipeline (CoeffPlane tiling + fdct_batch + fused reciprocal
-// quantize/zigzag + zero-alloc entropy pass) must produce byte-identical
+// pipeline (MCU-row stripes: tiling + fdct_batch + reciprocal quantize +
+// zero-alloc entropy pass) must produce byte-identical
 // streams to the retained per-block reference encoder across image shapes,
 // subsampling modes, and table precisions — and the batched primitives must
 // be bit-identical to their per-block counterparts. On the decode side, the
@@ -25,7 +25,7 @@
 #include "jpeg/codec.hpp"
 #include "jpeg/dct.hpp"
 #include "jpeg/pipeline/codec_context.hpp"
-#include "jpeg/zigzag.hpp"
+#include "obs/trace.hpp"
 #include "simd/dispatch.hpp"
 
 namespace dnj::jpeg {
@@ -94,7 +94,7 @@ TEST(PipelinePrimitives, IdctBatchBitIdenticalToPerBlock) {
       EXPECT_EQ(plane.block(b)[k], reference[b][static_cast<std::size_t>(k)]);
 }
 
-TEST(PipelinePrimitives, FusedQuantizeZigzagMatchesPerBlockQuantize) {
+TEST(PipelinePrimitives, QuantizeBatchMatchesPerBlockQuantize) {
   std::mt19937_64 rng(13);
   std::uniform_real_distribution<float> dist(-900.0f, 900.0f);
   CoeffPlane coeffs;
@@ -104,17 +104,17 @@ TEST(PipelinePrimitives, FusedQuantizeZigzagMatchesPerBlockQuantize) {
   const QuantTable table = QuantTable::annex_k_luma();
   const ReciprocalTable recip(table);
 
-  std::vector<std::int16_t> zz(coeffs.block_count() * kBlockSize);
-  quantize_zigzag_batch(coeffs.data(), coeffs.block_count(), recip, zz.data());
+  std::vector<std::int16_t> q(coeffs.block_count() * kBlockSize);
+  quantize_batch(coeffs.data(), coeffs.block_count(), recip, q.data());
 
   for (std::size_t b = 0; b < coeffs.block_count(); ++b) {
     image::BlockF blk{};
     std::copy(coeffs.block(b), coeffs.block(b) + kBlockSize, blk.begin());
     const QuantizedBlock natural = quantize(blk, table);
     for (int k = 0; k < 64; ++k)
-      EXPECT_EQ(zz[b * kBlockSize + static_cast<std::size_t>(k)],
-                natural[static_cast<std::size_t>(kZigzag[static_cast<std::size_t>(k)])])
-          << "block " << b << " scan position " << k;
+      EXPECT_EQ(q[b * kBlockSize + static_cast<std::size_t>(k)],
+                natural[static_cast<std::size_t>(k)])
+          << "block " << b << " coefficient " << k;
   }
 }
 
@@ -215,7 +215,19 @@ struct PipelineCase {
   Subsampling sub;
   bool optimize_huffman;
   int restart_interval;
+  bool deepn_tables = false;  // one custom table for luma and chroma
 };
+
+/// A DeepN-style table: fine steps for the low-frequency bands, coarse
+/// ones for the high, the same table serving luma and chroma.
+QuantTable deepn_style_table() {
+  std::array<std::uint16_t, 64> steps{};
+  for (int v = 0; v < 8; ++v)
+    for (int u = 0; u < 8; ++u)
+      steps[static_cast<std::size_t>(v * 8 + u)] =
+          static_cast<std::uint16_t>(3 + 2 * (u + v) + (u * v) / 2);
+  return QuantTable(steps);
+}
 
 class PipelineEquivalence : public ::testing::TestWithParam<PipelineCase> {};
 
@@ -227,6 +239,11 @@ TEST_P(PipelineEquivalence, BatchedEncodeByteIdenticalToReference) {
   cfg.subsampling = p.sub;
   cfg.optimize_huffman = p.optimize_huffman;
   cfg.restart_interval = p.restart_interval;
+  if (p.deepn_tables) {
+    cfg.use_custom_tables = true;
+    cfg.luma_table = deepn_style_table();
+    cfg.chroma_table = cfg.luma_table;
+  }
   const auto reference = encode_reference(img, cfg);
   const auto pipeline = encode(img, cfg);
   EXPECT_EQ(pipeline, reference);
@@ -244,7 +261,15 @@ INSTANTIATE_TEST_SUITE_P(
                       PipelineCase{9, 25, 3, Subsampling::k420, false, 2},
                       PipelineCase{64, 48, 3, Subsampling::k444, false, 3},
                       PipelineCase{40, 24, 3, Subsampling::k420, true, 1},
-                      PipelineCase{128, 96, 3, Subsampling::k420, false, 0}));
+                      PipelineCase{128, 96, 3, Subsampling::k420, false, 0},
+                      // The encoder works one MCU row (stripe) at a time;
+                      // these cross stripe boundaries with restart intervals
+                      // that end mid-row, partial last rows and blocks, and
+                      // the whole-frame plane optimize_huffman keeps.
+                      PipelineCase{1024, 24, 3, Subsampling::k444, false, 0, true},
+                      PipelineCase{1030, 23, 3, Subsampling::k444, false, 129},
+                      PipelineCase{257, 35, 1, Subsampling::k444, true, 33},
+                      PipelineCase{66, 50, 3, Subsampling::k420, true, 5}));
 
 TEST(PipelineEquivalenceExtra, CustomSixteenBitTables) {
   std::array<std::uint16_t, 64> steps{};
@@ -318,6 +343,82 @@ TEST(CodecContext, ReciprocalCacheTracksTableChanges) {
   // Chroma slot is independent.
   const ReciprocalTable& rc = ctx.reciprocal_for(a, 1);
   EXPECT_EQ(rc.recip(63), 1.0f / 4.0f);
+}
+
+// --- encode stage spans -------------------------------------------------------
+
+/// Forces every trace to be sampled and clears the rings; undoes both on
+/// exit (the tracer is process-wide).
+struct TraceEverything {
+  TraceEverything() {
+    obs::Tracer::instance().set_sample_every(1);
+    obs::Tracer::instance().clear();
+  }
+  ~TraceEverything() {
+    obs::Tracer::instance().set_sample_every(0);
+    obs::Tracer::instance().clear();
+  }
+};
+
+TEST(EncodeSpans, OneSpanPerStageInsideTheCallerWithoutOverlap) {
+  // The stripe loop sums each stage's time over the MCU rows and records
+  // one span per stage, laid end to end, whatever the image height.
+  TraceEverything tracing;
+  struct Case {
+    int w, h, channels;
+    Subsampling sub;
+    bool optimize_huffman;
+    int restart_interval;
+  };
+  const Case cases[] = {{64, 48, 3, Subsampling::k444, false, 0},
+                        {33, 31, 3, Subsampling::k420, false, 2},
+                        {40, 24, 1, Subsampling::k444, true, 0}};
+  const obs::Stage encode_stages[] = {obs::Stage::kEncodeTile, obs::Stage::kEncodeDct,
+                                      obs::Stage::kEncodeQuant, obs::Stage::kEncodeEntropy};
+  for (const Case& c : cases) {
+    const Image img = textured_image(c.w, c.h, c.channels, 0x5BA);
+    EncoderConfig cfg;
+    cfg.subsampling = c.sub;
+    cfg.optimize_huffman = c.optimize_huffman;
+    cfg.restart_interval = c.restart_interval;
+    const std::uint64_t trace = obs::Tracer::instance().start_trace();
+    ASSERT_NE(trace, 0u);
+    std::uint32_t caller_id = 0;
+    {
+      obs::TraceScope scope(trace, 0);
+      obs::Span caller(obs::Stage::kBatch);
+      caller_id = caller.id();
+      encode(img, cfg);
+    }
+    std::vector<obs::SpanRecord> spans;
+    for (const obs::SpanRecord& rec : obs::Tracer::instance().dump())
+      if (rec.trace_id == trace) spans.push_back(rec);
+    const auto caller = std::find_if(spans.begin(), spans.end(), [&](const obs::SpanRecord& r) {
+      return r.span_id == caller_id;
+    });
+    ASSERT_NE(caller, spans.end());
+    ASSERT_EQ(spans.size(), 5u) << c.w << "x" << c.h;
+    std::vector<obs::SpanRecord> stages;
+    for (const obs::Stage stage : encode_stages) {
+      const auto n = std::count_if(spans.begin(), spans.end(),
+                                   [&](const obs::SpanRecord& r) { return r.stage == stage; });
+      EXPECT_EQ(n, 1) << obs::stage_name(stage) << " in " << c.w << "x" << c.h;
+      for (const obs::SpanRecord& r : spans)
+        if (r.stage == stage) stages.push_back(r);
+    }
+    for (const obs::SpanRecord& r : stages) {
+      EXPECT_EQ(r.parent_id, caller_id) << obs::stage_name(r.stage);
+      EXPECT_GE(r.start_ns, caller->start_ns) << obs::stage_name(r.stage);
+      EXPECT_LE(r.end_ns, caller->end_ns) << obs::stage_name(r.stage);
+      EXPECT_LE(r.start_ns, r.end_ns) << obs::stage_name(r.stage);
+    }
+    for (std::size_t i = 0; i < stages.size(); ++i)
+      for (std::size_t j = i + 1; j < stages.size(); ++j)
+        EXPECT_TRUE(stages[i].end_ns <= stages[j].start_ns ||
+                    stages[j].end_ns <= stages[i].start_ns)
+            << obs::stage_name(stages[i].stage) << " overlaps "
+            << obs::stage_name(stages[j].stage);
+  }
 }
 
 // --- colour decode oracle ----------------------------------------------------
@@ -431,8 +532,8 @@ std::vector<std::uint8_t> flat_stream_with_sampling(int w, int h,
   for (int m = 0; m < mcus; ++m)
     for (std::size_t c = 0; c < 3; ++c)
       for (int b = 0; b < (hv[c] >> 4) * (hv[c] & 0x0F); ++b)
-        encode_block_zz(bw, zero.data(), dc_pred[c], c == 0 ? huff.dc_luma : huff.dc_chroma,
-                        c == 0 ? huff.ac_luma : huff.ac_chroma);
+        encode_block(bw, zero.data(), dc_pred[c], c == 0 ? huff.dc_luma : huff.dc_chroma,
+                     c == 0 ? huff.ac_luma : huff.ac_chroma);
   bw.flush();
   out.push_back(0xFF);
   out.push_back(0xD9);  // EOI

@@ -85,7 +85,7 @@ TEST(SimdDispatch, KernelTableIsFullyPopulatedAtEveryLevel) {
     const KernelTable& k = kernels();
     EXPECT_NE(k.fdct_batch, nullptr);
     EXPECT_NE(k.idct_batch, nullptr);
-    EXPECT_NE(k.quantize_zigzag_batch, nullptr);
+    EXPECT_NE(k.quantize_batch, nullptr);
     EXPECT_NE(k.dequantize_batch, nullptr);
     EXPECT_NE(k.tile_f32, nullptr);
     EXPECT_NE(k.tile_u8, nullptr);

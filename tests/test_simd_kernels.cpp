@@ -82,7 +82,7 @@ TEST(SimdKernels, IdctBatchMatchesScalarBitExact) {
   }
 }
 
-TEST(SimdKernels, QuantizeZigzagMatchesScalarIncludingBoundaries) {
+TEST(SimdKernels, QuantizeBatchMatchesScalarIncludingBoundaries) {
   const std::size_t count = 9;
   std::vector<float> coeffs = random_blocks(count, 0x9A);
   // Round-half-even boundaries and clamp extremes in the first block.
@@ -98,10 +98,10 @@ TEST(SimdKernels, QuantizeZigzagMatchesScalarIncludingBoundaries) {
     const jpeg::ReciprocalTable recip(table);
     std::vector<std::int16_t> expect(count * 64);
     set_level(Level::kScalar);
-    jpeg::quantize_zigzag_batch(coeffs.data(), count, recip, expect.data());
+    jpeg::quantize_batch(coeffs.data(), count, recip, expect.data());
     for_each_simd_level([&](Level l) {
       std::vector<std::int16_t> got(count * 64);
-      jpeg::quantize_zigzag_batch(coeffs.data(), count, recip, got.data());
+      jpeg::quantize_batch(coeffs.data(), count, recip, got.data());
       EXPECT_EQ(got, expect) << "level=" << level_name(l);
     });
   }
@@ -194,6 +194,28 @@ TEST(SimdKernels, ColorTransformsMatchScalarBitExact) {
     const image::Image rgb = image::to_rgb(got, img.width(), img.height());
     EXPECT_EQ(rgb, expect_rgb) << "level=" << level_name(l);
   });
+
+  // The forward kernel alone at every pixel count 1-67 (every vector tail),
+  // on heap buffers that end exactly at the last pixel, so an over-read or
+  // over-write past it trips the sanitizer legs.
+  for (std::size_t n = 1; n <= 67; ++n) {
+    std::vector<std::uint8_t> px(3 * n);
+    for (std::uint8_t& v : px) v = static_cast<std::uint8_t>(rng());
+    const auto run = [&] {
+      std::vector<float> y(n), cb(n), cr(n);
+      kernels().rgb_to_ycbcr(px.data(), n, y.data(), cb.data(), cr.data());
+      y.insert(y.end(), cb.begin(), cb.end());
+      y.insert(y.end(), cr.begin(), cr.end());
+      return y;
+    };
+    set_level(Level::kScalar);
+    const std::vector<float> want = run();
+    for_each_simd_level([&](Level l) {
+      const std::vector<float> got = run();
+      EXPECT_EQ(0, std::memcmp(got.data(), want.data(), got.size() * sizeof(float)))
+          << "level=" << level_name(l) << " n=" << n;
+    });
+  }
 }
 
 // The colour-decode row kernels at widths 1-67: every vector tail of both
