@@ -2,9 +2,11 @@
 // stage (tile, DCT, quant, entropy) in isolation, then the full
 // transcode-style encode through the reference per-block path vs the
 // zero-alloc CodecContext pipeline, and records everything to
-// bench_results/BENCH_codec_pipeline.json so future PRs have a per-stage
-// trajectory. The encode comparison doubles as an end-to-end equivalence
-// smoke: the two paths must produce byte-identical streams.
+// bench_results/BENCH_codec_pipeline.json. It measures what wirebench
+// cannot: each stage in isolation, per-SIMD-level rows, and
+// restart-interval streams decoded at several thread counts. The encode
+// comparison doubles as an end-to-end equivalence smoke: the two paths
+// must produce byte-identical streams.
 //
 // Usage: bench_codec_pipeline [num_images] [repeats]
 //   num_images — dataset size (default 256)

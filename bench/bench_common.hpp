@@ -60,8 +60,8 @@ data::Dataset recompress_table(const data::Dataset& ds, const jpeg::QuantTable& 
 /// The one result emitter every bench binary uses: creates
 /// `bench_results/<name>.json` under the current working directory.
 /// Produces one top-level object; arrays of objects nest one level deep —
-/// enough both for the perf-baseline files (BENCH_*.json) that track
-/// throughput across PRs and for the figure benches' tabular output
+/// enough both for the perf benches' result files (BENCH_*.json) and for
+/// the figure benches' tabular output
 /// (begin_rows/row, which replaced the seed's separate CSV writer). Keys
 /// are written in call order, commas are managed internally, and any scopes
 /// still open when the writer is destroyed are closed so the file is always

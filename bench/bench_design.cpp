@@ -5,8 +5,8 @@
 // Three measurements land in BENCH_design.json:
 //   * design throughput — one uncontrolled design job end to end (analyze
 //     -> anneal -> rate report -> publish), as SA iterations per second
-//     and total job seconds. This is the number the regression check
-//     tracks across PRs.
+//     and total job seconds. wirebench never runs a design job, so this
+//     is the only place its speed is measured.
 //   * rate accuracy — a second job with a bytes-per-image target derived
 //     from the first job's achieved midpoint rate (x1.02, so the target
 //     is reachable but tight). The job must land within 5% of target

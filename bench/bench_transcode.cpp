@@ -1,7 +1,8 @@
 // Perf baseline for the parallel runtime: transcodes a synthetic dataset
 // serially (num_threads = 1) and with the default thread count, checks the
 // outputs are identical, and records throughput to
-// bench_results/BENCH_transcode.json so future PRs have a perf trajectory.
+// bench_results/BENCH_transcode.json. It times the dataset-level parallel
+// loop, which wirebench (a serving benchmark) never runs.
 //
 // Usage: bench_transcode [num_images] [repeats]
 //   num_images — dataset size (default 512)

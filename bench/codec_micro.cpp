@@ -15,7 +15,6 @@
 #include "jpeg/block_coder.hpp"
 #include "jpeg/codec.hpp"
 #include "jpeg/dct.hpp"
-#include "jpeg/dct_int.hpp"
 #include "jpeg/quant.hpp"
 #include "simd/dispatch.hpp"
 
@@ -58,18 +57,6 @@ void BM_FdctAan(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(jpeg::fdct_aan(b));
 }
 BENCHMARK(BM_FdctAan);
-
-void BM_FdctInt(benchmark::State& state) {
-  std::int16_t in[64];
-  std::mt19937_64 rng(9);
-  for (std::int16_t& v : in) v = static_cast<std::int16_t>(static_cast<int>(rng() % 256) - 128);
-  std::int32_t out[64];
-  for (auto _ : state) {
-    jpeg::fdct_int(in, out);
-    benchmark::DoNotOptimize(out);
-  }
-}
-BENCHMARK(BM_FdctInt);
 
 void BM_IdctFast(benchmark::State& state) {
   const image::BlockF b = random_block(2);

@@ -8,8 +8,8 @@
 //            bound port is printed either way)
 //   workers  service worker threads (default 2)
 //
-// Pair it with the bench_net load generator or any foreign client built
-// from the protocol spec:
+// Pair it with tools/scrape_stats.py or any foreign client built from the
+// protocol spec:
 //
 //   $ ./net_server 9090 4
 //   dnj net_server: listening on 127.0.0.1:9090 (4 workers)

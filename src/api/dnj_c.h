@@ -116,7 +116,7 @@ dnj_status_t dnj_options_set_restart_interval(dnj_options_t* options, int32_t mc
 dnj_status_t dnj_options_set_comment(dnj_options_t* options, const char* text);
 
 /* Digest of the canonical options serialization — equal digests mean the
- * same encode computation (the serve layer's cache/batch key). */
+ * same encode computation (the serve layer's cache key). */
 uint64_t dnj_options_digest(const dnj_options_t* options);
 
 /* ------------------------------------------------------------- session */
@@ -191,7 +191,7 @@ dnj_status_t dnj_registry_encode_options(dnj_registry_t* registry, const char* n
 /* -------------------------------------------------------------- server */
 
 /* Opaque network server: an asynchronous transcode service (worker pool,
- * bounded queue, micro-batching, result cache) fronted by the TCP
+ * bounded queue, result cache) fronted by the TCP
  * protocol in docs/PROTOCOL.md. Added in ABI 1.1. */
 typedef struct dnj_server_t dnj_server_t;
 

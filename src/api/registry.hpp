@@ -64,8 +64,8 @@ class Registry {
   /// (0 = none). Normalization: when `base` carries no custom tables the
   /// Annex K pair is materialized (request quality then scales exactly
   /// like standard IJG quality), and the stored quality is pinned to 50 so
-  /// two registrations of the same computation share one digest (shard
-  /// affinity, batches, caches). Returns the published version.
+  /// two registrations of the same computation share one config digest.
+  /// Returns the published version.
   Result<std::uint64_t> put(const std::string& name, const EncodeOptions& base,
                             std::size_t quota_bytes = 0);
 

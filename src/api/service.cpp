@@ -97,13 +97,9 @@ Service::Service(const ServiceOptions& options) {
   cfg.queue_capacity = options.queue_capacity();
   cfg.admission = options.reject_when_full() ? serve::AdmissionPolicy::kReject
                                              : serve::AdmissionPolicy::kBlock;
-  cfg.max_batch = options.max_batch();
   cfg.cache_capacity = options.result_cache();
   cfg.cache_max_bytes = options.cache_max_bytes();
   cfg.tenant_quota_bytes = options.tenant_quota_bytes();
-  cfg.table_cache_capacity = options.table_cache();
-  cfg.shard_by_digest = options.shard_by_digest();
-  cfg.steal = options.steal();
   if (options.registry().has_value())
     cfg.registry = detail::RegistryAccess::impl(*options.registry());
   impl_ = std::make_unique<Impl>(std::move(cfg));
@@ -211,11 +207,6 @@ ServiceMetrics Service::metrics() const {
   m.cache_hits = s.cache_hits;
   m.cache_bytes = s.cache_bytes;
   m.cache_quota_evictions = s.cache_quota_evictions;
-  m.table_cache_hits = s.table_cache_hits;
-  m.batches = s.batches;
-  m.max_batch = s.max_batch;
-  m.shard_count = s.shard_count;
-  m.steals = s.steals;
   m.total_p50_us = s.total.p50_us;
   m.total_p95_us = s.total.p95_us;
   m.total_p99_us = s.total.p99_us;
@@ -227,7 +218,6 @@ ServiceMetrics Service::metrics() const {
     tm.completed = t.completed;
     tm.errors = t.errors;
     tm.cache_hits = t.cache_hits;
-    tm.table_cache_hits = t.table_cache_hits;
     tm.service_p50_us = t.service_time.p50_us;
     tm.service_p99_us = t.service_time.p99_us;
     m.tenants.push_back(std::move(tm));

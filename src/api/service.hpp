@@ -48,11 +48,6 @@ class ServiceOptions {
     reject_when_full_ = on;
     return *this;
   }
-  /// Largest micro-batch a worker drains per pop (1 disables batching).
-  ServiceOptions& max_batch(int n) {
-    max_batch_ = n;
-    return *this;
-  }
   /// Result-cache entries (0 disables the result cache).
   ServiceOptions& result_cache(std::size_t entries) {
     result_cache_ = entries;
@@ -69,24 +64,14 @@ class ServiceOptions {
     tenant_quota_bytes_ = bytes;
     return *this;
   }
-  /// Scaled-table cache entries per worker for deepn_encode (0 disables).
-  ServiceOptions& table_cache(std::size_t entries) {
-    table_cache_ = entries;
-    return *this;
-  }
-  /// Digest-affinity sharding: route requests to per-worker sub-queues by
-  /// config digest so worker caches stay warm per configuration. Pure
-  /// scheduling — payloads are bit-identical either way. Default on.
-  ServiceOptions& shard_by_digest(bool on) {
-    shard_by_digest_ = on;
-    return *this;
-  }
-  /// Work stealing between shards (idle worker takes from the fullest
-  /// foreign sub-queue). Default on.
-  ServiceOptions& steal(bool on) {
-    steal_ = on;
-    return *this;
-  }
+  /// Retired scheduling knobs, kept so existing callers still compile.
+  /// Each is a no-op: the service serves one FIFO queue, one request per
+  /// pop, and scales deepn_encode tables per request (docs/ARCHITECTURE.md,
+  /// "Scheduling").
+  ServiceOptions& max_batch(int) { return *this; }
+  ServiceOptions& table_cache(std::size_t) { return *this; }
+  ServiceOptions& shard_by_digest(bool) { return *this; }
+  ServiceOptions& steal(bool) { return *this; }
   /// The tenant registry deepn_encode resolves names against. Omitted =
   /// the service creates a private one (reachable via Service::registry());
   /// pass one Registry to several services to share a tenant set.
@@ -117,13 +102,9 @@ class ServiceOptions {
   int workers() const { return workers_; }
   std::size_t queue_capacity() const { return queue_capacity_; }
   bool reject_when_full() const { return reject_when_full_; }
-  int max_batch() const { return max_batch_; }
   std::size_t result_cache() const { return result_cache_; }
   std::size_t cache_max_bytes() const { return cache_max_bytes_; }
   std::size_t tenant_quota_bytes() const { return tenant_quota_bytes_; }
-  std::size_t table_cache() const { return table_cache_; }
-  bool shard_by_digest() const { return shard_by_digest_; }
-  bool steal() const { return steal_; }
   const std::optional<Registry>& registry() const { return registry_; }
   int design_workers() const { return design_workers_; }
   std::size_t design_queue() const { return design_queue_; }
@@ -133,13 +114,9 @@ class ServiceOptions {
   int workers_ = 2;
   std::size_t queue_capacity_ = 256;
   bool reject_when_full_ = false;
-  int max_batch_ = 8;
   std::size_t result_cache_ = 256;
   std::size_t cache_max_bytes_ = 0;
   std::size_t tenant_quota_bytes_ = 0;
-  std::size_t table_cache_ = 16;
-  bool shard_by_digest_ = true;
-  bool steal_ = true;
   std::optional<Registry> registry_;
   int design_workers_ = 1;
   std::size_t design_queue_ = 8;
@@ -192,7 +169,7 @@ struct ServiceReply {
   std::vector<std::uint8_t> bytes;  ///< encode / transcode result
   DecodedImage image;               ///< decode result
   bool cache_hit = false;
-  int batch_size = 0;       ///< size of the micro-batch this rode in
+  int batch_size = 0;       ///< always 1: workers run one request per pop
   double queue_us = 0.0;    ///< submission -> worker pickup
   double service_us = 0.0;  ///< worker pickup -> completion
 };
@@ -228,7 +205,6 @@ struct TenantMetrics {
   std::uint64_t completed = 0;
   std::uint64_t errors = 0;
   std::uint64_t cache_hits = 0;
-  std::uint64_t table_cache_hits = 0;
   double service_p50_us = 0.0;
   double service_p99_us = 0.0;
 };
@@ -242,11 +218,6 @@ struct ServiceMetrics {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_bytes = 0;            ///< recorded result-cache payload total
   std::uint64_t cache_quota_evictions = 0;  ///< evictions forced by tenant quotas
-  std::uint64_t table_cache_hits = 0;       ///< summed over per-worker table LRUs
-  std::uint64_t batches = 0;
-  std::uint64_t max_batch = 0;
-  std::uint64_t shard_count = 0;  ///< submission-queue shards (1 = unsharded)
-  std::uint64_t steals = 0;       ///< pops served from a foreign shard
   double total_p50_us = 0.0;
   double total_p95_us = 0.0;
   double total_p99_us = 0.0;

@@ -54,8 +54,8 @@ using QuantTableValues = std::array<std::uint16_t, 64>;
 /// EncodeOptions is the one options representation shared by the
 /// synchronous façade, the async Service, and the serving layer:
 /// `digest()` hashes the canonical serialization of the underlying encoder
-/// configuration, so it equals the config digest the serve layer batches
-/// and caches on.
+/// configuration, so it equals the config digest the serve layer caches
+/// on.
 class EncodeOptions {
  public:
   /// IJG quality in [1, 100] (validated at the call boundary, not here).
@@ -110,8 +110,7 @@ class EncodeOptions {
 
   /// FNV-1a digest of the canonical serialization of these options —
   /// byte-for-byte the config digest the serving layer keys its result
-  /// cache and micro-batch compatibility on. Equal digests = the same
-  /// encode computation.
+  /// cache on. Equal digests = the same encode computation.
   std::uint64_t digest() const;
 
  private:

@@ -1,12 +1,12 @@
 // Blocking protocol client — the reference peer for the event-loop server
-// and the engine under bench/bench_net.cpp and tests/test_net.cpp. One
+// and the engine under tests/test_net.cpp and wirebench's scrapes. One
 // connection, synchronous socket I/O, the same FrameParser/marshalling
 // code the server uses (agreement by construction).
 //
 // The send and receive halves are deliberately separate (send_request /
 // recv_reply) so a caller can pipeline: write a burst of requests, then
 // collect the responses and pair them back up by request id — responses
-// may arrive out of order (micro-batching and cache hits reorder
+// may arrive out of order (parallel workers and cache hits reorder
 // completions; the protocol's request_id exists exactly for this).
 // call() is the one-shot convenience for when pipelining doesn't matter.
 //

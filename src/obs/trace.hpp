@@ -35,7 +35,7 @@ enum class Stage : std::uint8_t {
   kNetParse,           // frame decode + request validation
   kNetWrite,           // response serialization hand-off to the socket
   kQueueWait,          // enqueue -> picked up by a worker
-  kBatch,              // worker-side batch execution (tag = batch size)
+  kBatch,              // worker-side execution of one request
   kCacheProbe,         // result-cache digest + lookup
   kEncodeTile,         // color convert (+ 4:2:0 downsample) + tile (tag = blocks)
   kEncodeDct,          // forward DCT batch (tag = blocks)

@@ -1,13 +1,13 @@
-// Content digests for the serving layer's caches and batching decisions.
+// Content digests for the serving layer's result cache.
 //
 // A result-cache key has two halves with different jobs.
 //
 //  * The config half (request_config_digest, deepn_config_digest) is FNV-1a
 //    64 over the canonical config serialization, tables included verbatim.
-//    Sharding and micro-batching key on it, so it is computed at submission,
-//    O(1) in the payload. FNV-1a is unkeyed, and anyone can craft two
-//    configs with one digest. In routing and batching that costs only
-//    warmth: every request still runs under its own config.
+//    It is computed at submission, O(1) in the payload. FNV-1a is unkeyed,
+//    and anyone can craft two configs with one digest, so it never decides
+//    a hit on its own: the input half below also covers the request's own
+//    parameters.
 //  * The input half (request_input_digest) is a 128-bit keyed SipHash-2-4
 //    (Aumasson & Bernstein, INDOCRYPT 2012) over an unambiguous,
 //    length-prefixed encoding of the kind, the request's own parameters
@@ -102,19 +102,19 @@ struct CacheKeyHash {
 };
 
 /// The config half of a cache key — all the submission path needs
-/// (batching compatibility and admission never look at the input half).
-/// O(1) in the payload size, so rejecting under overload stays O(1).
+/// (admission never looks at the input half). O(1) in the payload size,
+/// so rejecting under overload stays O(1).
 /// For kDeepnEncode this mixes the tenant *name*; the serving layer, which
 /// can resolve the name against its registry, keys on the resolved table
 /// contents instead (deepn_config_digest) so identical configurations
-/// share shards and batches across tenants and registry generations.
+/// share one digest across tenants and registry generations.
 std::uint64_t request_config_digest(const Request& req);
 
 /// Config digest of a DeepN-quality encode: the digest of the base table
 /// pair (service-wide or a tenant's TenantEntry::base_digest) folded with
-/// the clamped quality. The service shards and batches kDeepnEncode
-/// requests on it, and it is their cache key's config half — pure content,
-/// no names, no registry versions, so equal computations share warmth.
+/// the clamped quality. It is a kDeepnEncode request's cache key's config
+/// half — pure content, no names, no registry versions, so equal
+/// computations share one digest.
 std::uint64_t deepn_config_digest(std::uint64_t tables_digest, int quality);
 
 /// The input half of a cache key: the keyed 128-bit SipHash-2-4 described

@@ -1,7 +1,7 @@
 // Thread-safe LRU cache, shared by every worker of a service instance.
 //
 // A mutex around a list + hash map is deliberate (same reasoning as the
-// runtime queue): entries are whole encoded results or table pairs, so a
+// runtime queue): entries are whole encoded results, so a
 // lookup costs a hash and two pointer swaps while the work it saves is a
 // full encode — contention is irrelevant next to the savings. Values are
 // returned by copy so a hit never holds the lock while the caller uses the
@@ -14,7 +14,7 @@
 // entries once over quota, never everyone else's. Callers opt in per entry
 // by using the put() overload that carries a byte size and a tenant id;
 // the two-argument put() records zero bytes and the default tenant, which
-// keeps byte-blind users (the scaled-table cache) unaffected.
+// keeps byte-blind entries out of both byte budgets.
 #pragma once
 
 #include <cstddef>

@@ -16,8 +16,8 @@
 // an encode, and two responses from one submission batch can never mix
 // table generations. The version number is observability (which generation
 // served this?), deliberately NOT part of the config digest: digests key on
-// *content*, so re-registering identical tables keeps caches warm and two
-// tenants with identical configs share batches and cache entries.
+// *content*, so re-registering identical tables keeps the config digest
+// and two tenants with identical configs share it.
 #pragma once
 
 #include <cstddef>
@@ -43,11 +43,11 @@ struct TenantEntry {
   /// pair (so request quality then behaves exactly like standard IJG
   /// quality), and `quality` is normalized to 50 — it plays no part in a
   /// custom-table encode, and normalizing it lets two registrations of the
-  /// same computation share one digest (batches, caches, shard affinity).
+  /// same computation share one config digest.
   jpeg::EncoderConfig base;
 
-  /// digest_config(base): the content key everything downstream derives
-  /// from — shard affinity, batch compatibility, table-LRU keys.
+  /// digest_config(base): the content key a tenant's kDeepnEncode config
+  /// digest (and so its result-cache key) derives from.
   std::uint64_t base_digest = 0;
 
   /// Result-cache byte budget for this tenant (0 = no per-tenant cap; the
@@ -57,7 +57,7 @@ struct TenantEntry {
 
 /// Thread-safe name -> TenantEntry map. One registry may back any number
 /// of services (pass the same shared_ptr via ServiceConfig::registry) so a
-/// fleet of shards serves one coherent tenant set.
+/// fleet of services serves one coherent tenant set.
 class TableRegistry {
  public:
   TableRegistry() = default;

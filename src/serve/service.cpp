@@ -31,11 +31,16 @@ std::uint64_t to_trace_ns(Clock::time_point tp) {
           .count());
 }
 
-/// Virtual nodes per shard on the consistent-hash ring. 16 points per
-/// shard keeps the largest/smallest shard arc within ~2x of each other for
-/// any realistic shard count — plenty, since workers rebalance residual
-/// skew by stealing.
-constexpr std::uint32_t kShardRingReplicas = 16;
+using ReuseCounters = jpeg::pipeline::CodecContext::ReuseCounters;
+
+void add_counters(ReuseCounters& into, const ReuseCounters& after,
+                  const ReuseCounters& before) {
+  into.huffman_builds += after.huffman_builds - before.huffman_builds;
+  into.reciprocal_builds += after.reciprocal_builds - before.reciprocal_builds;
+  into.quality_table_builds += after.quality_table_builds - before.quality_table_builds;
+  into.huffman_decoder_builds +=
+      after.huffman_decoder_builds - before.huffman_decoder_builds;
+}
 
 }  // namespace
 
@@ -88,9 +93,7 @@ struct TranscodeService::WorkerStats {
     std::uint64_t completed = 0;
     std::uint64_t errors = 0;
     std::uint64_t cache_hits = 0;
-    std::uint64_t table_hits = 0;
-    std::uint64_t table_misses = 0;
-    jpeg::pipeline::CodecContext::ReuseCounters ctx;
+    ReuseCounters ctx;
     stats::Histogram service_time = make_tenant_latency_histogram();
     double service_max_us = 0.0;
   };
@@ -106,10 +109,7 @@ struct TranscodeService::WorkerStats {
   std::uint64_t errors = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t per_kind[kNumRequestKinds] = {0, 0, 0, 0, 0};
-  std::uint64_t batches = 0;
-  std::uint64_t batched_requests = 0;
-  std::uint64_t max_batch = 0;
-  jpeg::pipeline::CodecContext::ReuseCounters ctx_deltas;
+  ReuseCounters ctx;
   std::map<std::string, TenantCounters> tenants;
 };
 
@@ -119,7 +119,6 @@ TranscodeService::TranscodeService(ServiceConfig config)
                     config_.tenant_quota_bytes) {
   config_.workers = std::max(1, config_.workers);
   config_.queue_capacity = std::max<std::size_t>(1, config_.queue_capacity);
-  config_.max_batch = std::max(1, config_.max_batch);
   if (!config_.registry) config_.registry = std::make_shared<TableRegistry>();
   if (!config_.metrics) config_.metrics = std::make_shared<obs::Registry>();
   // The submission counters ARE registry instruments (stats() reads them
@@ -132,29 +131,10 @@ TranscodeService::TranscodeService(ServiceConfig config)
   deepn_tables_digest_ =
       digest_table(config_.deepn_chroma, digest_table(config_.deepn_luma));
 
-  // One shard per worker under digest affinity — the point is a 1:1
-  // shard->home-worker mapping, so "same digest" means "same warm context".
-  shards_ = config_.shard_by_digest ? static_cast<std::size_t>(config_.workers) : 1;
-  ring_.reserve(shards_ * kShardRingReplicas);
-  for (std::uint32_t s = 0; s < shards_; ++s) {
-    for (std::uint32_t r = 0; r < kShardRingReplicas; ++r) {
-      const std::uint32_t point[2] = {s, r};
-      ring_.emplace_back(fnv1a(point, sizeof(point)), s);
-    }
-  }
-  std::sort(ring_.begin(), ring_.end());
-
-  queue_ = std::make_unique<ShardedQueue<Job>>(shards_, config_.queue_capacity);
+  queue_ = std::make_unique<runtime::MpmcQueue<Job>>(config_.queue_capacity);
   worker_stats_.reserve(static_cast<std::size_t>(config_.workers));
-  table_caches_.reserve(static_cast<std::size_t>(config_.workers));
-  for (int w = 0; w < config_.workers; ++w) {
+  for (int w = 0; w < config_.workers; ++w)
     worker_stats_.push_back(std::make_unique<WorkerStats>());
-    // Per-worker table LRUs: digest affinity means a worker only hosts its
-    // shard's configurations, so small private caches hold exactly the
-    // right working set — with zero cross-worker lock traffic.
-    table_caches_.push_back(std::make_unique<LruCache<CacheKey, TablePair, CacheKeyHash>>(
-        config_.table_cache_capacity));
-  }
 
   // A private pool, not ThreadPool::global(): pumps occupy their worker for
   // the service's whole lifetime, which would starve the shared pool's
@@ -162,8 +142,8 @@ TranscodeService::TranscodeService(ServiceConfig config)
   // workers as pumps every worker runs exactly one pump, and the pool
   // destructor's drain guarantee is what shutdown() leans on.
   workers_ = std::make_unique<runtime::ThreadPool>(static_cast<unsigned>(config_.workers));
-  for (int w = 0; w < config_.workers; ++w)
-    workers_->submit([this, w] { pump(w); });
+  for (const std::unique_ptr<WorkerStats>& ws : worker_stats_)
+    workers_->submit([this, stats = ws.get()] { pump(*stats); });
 
   // Registered last: the collector snapshots stats(), which needs every
   // member above. remove_collector in the destructor blocks until any
@@ -199,20 +179,10 @@ void TranscodeService::submit(Request req, Callback done) {
   submit_job(std::move(job));
 }
 
-std::size_t TranscodeService::shard_of(std::uint64_t config_digest) const {
-  if (shards_ == 1) return 0;
-  // First ring point clockwise of the digest; wrap past the top.
-  auto it = std::lower_bound(ring_.begin(), ring_.end(),
-                             std::make_pair(config_digest, std::uint32_t{0}));
-  if (it == ring_.end()) it = ring_.begin();
-  return it->second;
-}
-
 void TranscodeService::submit_job(Job job) {
   submitted_->inc();
   // Adopt the front end's trace, or open one here for in-process callers.
-  // Pure observability: the sampling decision never feeds into admission,
-  // sharding, or batching.
+  // Pure observability: the sampling decision never feeds into admission.
   job.trace_id = job.req.trace_id;
   job.trace_parent = job.req.trace_parent;
   if (job.trace_id == 0) {
@@ -226,15 +196,15 @@ void TranscodeService::submit_job(Job job) {
     }
   }
   job.cacheable = cacheable(job.req.kind) && result_cache_.enabled();
-  // Only the config half of the key here: admission, sharding and batching
-  // never read the input half, and hashing the payload on the submission
-  // path would make rejection under overload O(payload). Workers derive
-  // the input half lazily when a cache lookup actually happens.
+  // Only the config half of the key here: hashing the payload on the
+  // submission path would make rejection under overload O(payload).
+  // Workers derive the input half lazily when a cache lookup actually
+  // happens.
   if (job.req.kind == RequestKind::kDeepnEncode) {
     // Resolve the tenant now — pinning the snapshot at submission is the
     // registry's consistency contract — and digest by resolved CONTENT, so
-    // two tenants (or registry generations) with identical tables share
-    // shards, batches and cache entries.
+    // two tenants (or registry generations) with identical tables share a
+    // config digest.
     std::uint64_t tables_digest = deepn_tables_digest_;
     if (!job.req.tenant.empty()) {
       job.tenant = config_.registry->find(job.req.tenant);
@@ -253,10 +223,9 @@ void TranscodeService::submit_job(Job job) {
   }
   job.enqueue = Clock::now();
 
-  const std::size_t shard = shard_of(job.key.config);
   const bool accepted = config_.admission == AdmissionPolicy::kReject
-                            ? queue_->try_push(job, shard)
-                            : queue_->push(job, shard);
+                            ? queue_->try_push(job)
+                            : queue_->push(job);
   if (!accepted) {
     // try_push fails on full or closed; push only on closed. Closed wins
     // the tie-break so shutdown refusals are always typed kShutdown.
@@ -291,141 +260,84 @@ void TranscodeService::refuse(Job&& job, Status status, std::string why) {
   fulfill(std::move(job), std::move(r));
 }
 
-void TranscodeService::pump(int worker_id) {
-  WorkerStats& ws = *worker_stats_[static_cast<std::size_t>(worker_id)];
-  const std::size_t home = static_cast<std::size_t>(worker_id) % shards_;
-  const bool steal = config_.steal && shards_ > 1;
-  std::vector<Job> batch;
-  Job first;
-  std::size_t from = home;
-  while (queue_->pop(home, steal, first, &from)) {
-    batch.clear();
-    batch.push_back(std::move(first));
-    if (config_.max_batch > 1) {
-      // Batch followers come from the shard the head came from — possibly
-      // a stolen one; digest purity of the batch is what matters, not
-      // whose shard it was.
-      const RequestKind kind = batch[0].req.kind;
-      const std::uint64_t cfg = batch[0].key.config;
-      queue_->pop_while(
-          from,
-          [kind, cfg](const Job& j) {
-            return j.req.kind == kind && j.key.config == cfg;
-          },
-          static_cast<std::size_t>(config_.max_batch) - 1, batch);
-    }
-    process_batch(batch, ws, worker_id);
-  }
+void TranscodeService::pump(WorkerStats& ws) {
+  // process() takes the job by value, so a finished request is freed there,
+  // after its reply went out. Were `job` reused with the last request still
+  // in it, the next pop() would free that request inside the queue's
+  // critical section, where submitters wait on the same mutex.
+  Job job;
+  while (queue_->pop(job)) process(std::move(job), ws);
 }
 
-void TranscodeService::process_batch(std::vector<Job>& batch, WorkerStats& ws,
-                                     int worker_id) {
-  // Stats-ordering contract: by the time a future is fulfilled, its batch
-  // and its own lifecycle counters/latencies are visible to stats(). Hence
-  // batch-level counters go in at assembly, per-request counters right
-  // before each set_value. Context-warmth deltas are only knowable after
-  // the batch ran; they settle when the batch finishes (final once
-  // shutdown() returned). The per-request lock is uncontended in steady
-  // state — stats() is the only other party that ever takes it.
+void TranscodeService::process(Job job, WorkerStats& ws) {
+  // The pump thread's context persists across requests; its reuse counters
+  // are read around this one request, so context-warmth deltas are
+  // attributed exactly — to the service and to the request's tenant.
+  const jpeg::pipeline::CodecContext& ctx = jpeg::pipeline::thread_codec_context();
+  const ReuseCounters before = ctx.reuse_counters();
+  const Clock::time_point picked = Clock::now();
+  // Install the job's trace for this thread: codec-internal spans attach
+  // under it without any id plumbing through run(). The queue-wait span
+  // started on the submitting thread, so it is recorded with explicit
+  // endpoints rather than RAII.
+  obs::TraceScope trace(job.trace_id, job.trace_parent);
+  obs::record_span(job.trace_id, job.trace_parent, obs::Stage::kQueueWait,
+                   to_trace_ns(job.enqueue), to_trace_ns(picked));
+  Response resp;
+  {
+    obs::Span request_span(obs::Stage::kBatch);
+    bool hit = false;
+    if (job.cacheable) {
+      obs::Span probe(obs::Stage::kCacheProbe);
+      job.key.input = request_input_digest(job.req, digest_key_);
+      hit = result_cache_.get(job.key, &resp.bytes);
+    }
+    if (hit) {
+      resp.cache_hit = true;
+    } else {
+      resp = run(job.req, job.tenant.get());
+      if (job.cacheable && resp.status == Status::kOk)
+        result_cache_.put(job.key, resp.bytes, resp.bytes.size(), job.tenant_hash);
+    }
+  }
+  const Clock::time_point done = Clock::now();
+  // In-process submissions have no front end to close the root span;
+  // the service owns the trace and records the root here.
+  if (job.trace_owned)
+    obs::record_span_as(job.trace_id, job.trace_parent, 0, obs::Stage::kRequest,
+                        to_trace_ns(job.enqueue), to_trace_ns(done),
+                        static_cast<std::uint64_t>(job.req.kind));
+  resp.batch_size = 1;
+  resp.queue_us = us_between(job.enqueue, picked);
+  resp.service_us = us_between(picked, done);
+  // Stats-ordering contract: everything this request changed is visible to
+  // stats() before its future is fulfilled. The lock is uncontended in
+  // steady state — stats() is the only other party that ever takes it.
   {
     std::lock_guard<std::mutex> lock(ws.mutex);
-    ++ws.batches;
-    if (batch.size() > 1) ws.batched_requests += batch.size();
-    ws.max_batch = std::max<std::uint64_t>(ws.max_batch, batch.size());
-  }
-
-  // The pump thread's context persists across batches; counters are read
-  // before/after so the stats report rebuilds attributable to this batch.
-  const jpeg::pipeline::CodecContext::ReuseCounters before =
-      jpeg::pipeline::thread_codec_context().reuse_counters();
-
-  for (Job& job : batch) {
-    const Clock::time_point picked = Clock::now();
-    // Install the job's trace for this thread: codec-internal spans attach
-    // under it without any id plumbing through run(). The queue-wait span
-    // started on the submitting thread, so it is recorded with explicit
-    // endpoints rather than RAII.
-    obs::TraceScope trace(job.trace_id, job.trace_parent);
-    obs::record_span(job.trace_id, job.trace_parent, obs::Stage::kQueueWait,
-                     to_trace_ns(job.enqueue), to_trace_ns(picked));
-    Response resp;
-    RunInfo info;
-    {
-      obs::Span batch_span(obs::Stage::kBatch,
-                           static_cast<std::uint64_t>(batch.size()));
-      bool hit = false;
-      if (job.cacheable) {
-        obs::Span probe(obs::Stage::kCacheProbe);
-        job.key.input = request_input_digest(job.req, digest_key_);
-        hit = result_cache_.get(job.key, &resp.bytes);
-      }
-      if (hit) {
-        resp.cache_hit = true;
-      } else {
-        resp = run(job.req, job.tenant.get(), worker_id, &info);
-        if (job.cacheable && resp.status == Status::kOk)
-          result_cache_.put(job.key, resp.bytes, resp.bytes.size(), job.tenant_hash);
-      }
+    const double total_us = us_between(job.enqueue, done);
+    ws.queue_wait.add(resp.queue_us);
+    ws.service_time.add(resp.service_us);
+    ws.total.add(total_us);
+    ws.queue_wait_max_us = std::max(ws.queue_wait_max_us, resp.queue_us);
+    ws.service_time_max_us = std::max(ws.service_time_max_us, resp.service_us);
+    ws.total_max_us = std::max(ws.total_max_us, total_us);
+    ++ws.per_kind[static_cast<int>(job.req.kind)];
+    if (resp.status == Status::kOk) ++ws.completed; else ++ws.errors;
+    if (resp.cache_hit) ++ws.cache_hits;
+    const ReuseCounters& after = ctx.reuse_counters();
+    add_counters(ws.ctx, after, before);
+    if (job.tenant) {
+      WorkerStats::TenantCounters& tc = ws.tenants[job.tenant->name];
+      ++tc.requests;
+      if (resp.status == Status::kOk) ++tc.completed; else ++tc.errors;
+      if (resp.cache_hit) ++tc.cache_hits;
+      add_counters(tc.ctx, after, before);
+      tc.service_time.add(resp.service_us);
+      tc.service_max_us = std::max(tc.service_max_us, resp.service_us);
     }
-    const Clock::time_point done = Clock::now();
-    // In-process submissions have no front end to close the root span;
-    // the service owns the trace and records the root here.
-    if (job.trace_owned)
-      obs::record_span_as(job.trace_id, job.trace_parent, 0, obs::Stage::kRequest,
-                          to_trace_ns(job.enqueue), to_trace_ns(done),
-                          static_cast<std::uint64_t>(job.req.kind));
-    resp.batch_size = static_cast<int>(batch.size());
-    resp.queue_us = us_between(job.enqueue, picked);
-    resp.service_us = us_between(picked, done);
-    {
-      std::lock_guard<std::mutex> lock(ws.mutex);
-      const double total_us = us_between(job.enqueue, done);
-      ws.queue_wait.add(resp.queue_us);
-      ws.service_time.add(resp.service_us);
-      ws.total.add(total_us);
-      ws.queue_wait_max_us = std::max(ws.queue_wait_max_us, resp.queue_us);
-      ws.service_time_max_us = std::max(ws.service_time_max_us, resp.service_us);
-      ws.total_max_us = std::max(ws.total_max_us, total_us);
-      ++ws.per_kind[static_cast<int>(job.req.kind)];
-      if (resp.status == Status::kOk) ++ws.completed; else ++ws.errors;
-      if (resp.cache_hit) ++ws.cache_hits;
-      if (job.tenant) {
-        WorkerStats::TenantCounters& tc = ws.tenants[job.tenant->name];
-        ++tc.requests;
-        if (resp.status == Status::kOk) ++tc.completed; else ++tc.errors;
-        if (resp.cache_hit) ++tc.cache_hits;
-        if (info.table_lookup) ++(info.table_hit ? tc.table_hits : tc.table_misses);
-        tc.service_time.add(resp.service_us);
-        tc.service_max_us = std::max(tc.service_max_us, resp.service_us);
-      }
-    }
-    fulfill(std::move(job), std::move(resp));
   }
-
-  const jpeg::pipeline::CodecContext::ReuseCounters after =
-      jpeg::pipeline::thread_codec_context().reuse_counters();
-  jpeg::pipeline::CodecContext::ReuseCounters delta;
-  delta.huffman_builds = after.huffman_builds - before.huffman_builds;
-  delta.reciprocal_builds = after.reciprocal_builds - before.reciprocal_builds;
-  delta.quality_table_builds = after.quality_table_builds - before.quality_table_builds;
-  delta.huffman_decoder_builds =
-      after.huffman_decoder_builds - before.huffman_decoder_builds;
-  std::lock_guard<std::mutex> lock(ws.mutex);
-  ws.ctx_deltas.huffman_builds += delta.huffman_builds;
-  ws.ctx_deltas.reciprocal_builds += delta.reciprocal_builds;
-  ws.ctx_deltas.quality_table_builds += delta.quality_table_builds;
-  ws.ctx_deltas.huffman_decoder_builds += delta.huffman_decoder_builds;
-  // Context rebuilds are measurable only per batch; a batch is digest-pure,
-  // so attributing its delta to the head request's tenant is exact whenever
-  // the batch is single-tenant and the head's cache hits hide no rebuild —
-  // close enough for a warmth signal, and documented as batch-granular.
-  if (!batch.empty() && batch[0].tenant) {
-    WorkerStats::TenantCounters& tc = ws.tenants[batch[0].tenant->name];
-    tc.ctx.huffman_builds += delta.huffman_builds;
-    tc.ctx.reciprocal_builds += delta.reciprocal_builds;
-    tc.ctx.quality_table_builds += delta.quality_table_builds;
-    tc.ctx.huffman_decoder_builds += delta.huffman_decoder_builds;
-  }
+  fulfill(std::move(job), std::move(resp));
 }
 
 namespace {
@@ -444,8 +356,7 @@ bool fold_status(const api::Status& status, Response& r) {
 
 }  // namespace
 
-Response TranscodeService::run(const Request& req, const TenantEntry* tenant,
-                               int worker_id, RunInfo* info) {
+Response TranscodeService::run(const Request& req, const TenantEntry* tenant) {
   // The codec request kinds run through the public façade (dnj::api) —
   // the service is the façade's first in-tree consumer, so the boundary
   // contract (typed statuses in, bit-identical payloads out) is exercised
@@ -486,8 +397,7 @@ Response TranscodeService::run(const Request& req, const TenantEntry* tenant,
       case RequestKind::kDeepnEncode: {
         api::Result<std::vector<std::uint8_t>> res = codec.encode(
             req.image.view(),
-            api::detail::from_config(
-                deepn_config(req.quality, tenant, worker_id, info)));
+            api::detail::from_config(deepn_config(req.quality, tenant)));
         if (fold_status(res.status(), r)) r.bytes = res.take();
         break;
       }
@@ -521,33 +431,12 @@ Response TranscodeService::run(const Request& req, const TenantEntry* tenant,
 }
 
 jpeg::EncoderConfig TranscodeService::deepn_config(int quality,
-                                                   const TenantEntry* tenant,
-                                                   int worker_id, RunInfo* info) {
+                                                   const TenantEntry* tenant) const {
   quality = std::clamp(quality, 1, 100);
   const jpeg::QuantTable& base_luma =
       tenant ? tenant->base.luma_table : config_.deepn_luma;
   const jpeg::QuantTable& base_chroma =
       tenant ? tenant->base.chroma_table : config_.deepn_chroma;
-  const std::uint64_t tables_digest =
-      tenant ? tenant->base_digest : deepn_tables_digest_;
-
-  TablePair pair;
-  // worker_id < 0 = the execute() reference path: deliberately cache-free.
-  LruCache<CacheKey, TablePair, CacheKeyHash>* cache =
-      worker_id >= 0 ? table_caches_[static_cast<std::size_t>(worker_id)].get()
-                     : nullptr;
-  const CacheKey key{{tables_digest, 0}, static_cast<std::uint64_t>(quality)};
-  bool hit = false;
-  if (cache != nullptr && cache->enabled()) {
-    if (info != nullptr) info->table_lookup = true;
-    hit = cache->get(key, &pair);
-    if (info != nullptr) info->table_hit = hit;
-  }
-  if (!hit) {
-    pair.luma = base_luma.scaled(quality);
-    pair.chroma = base_chroma.scaled(quality);
-    if (cache != nullptr) cache->put(key, pair);
-  }
 
   // A tenant's entry carries its full encoder configuration — subsampling,
   // Huffman optimization, restart interval, comment all honored; only the
@@ -557,17 +446,17 @@ jpeg::EncoderConfig TranscodeService::deepn_config(int quality,
   if (tenant != nullptr) cfg = tenant->base;
   else cfg.subsampling = jpeg::Subsampling::k444;
   cfg.use_custom_tables = true;
-  cfg.luma_table = pair.luma;
-  cfg.chroma_table = pair.chroma;
+  cfg.luma_table = base_luma.scaled(quality);
+  cfg.chroma_table = base_chroma.scaled(quality);
   return cfg;
 }
 
 Response TranscodeService::execute(const Request& req) {
   // Reference path: same handlers, same thread-local context mechanism,
-  // but no queue, no batching, and — deliberately — no caches (the table
-  // cache included), so cache correctness is testable by comparing
-  // submit() against execute(). Tenant names resolve against the same
-  // registry, pinned for the duration of this call.
+  // but no queue and — deliberately — no result cache, so cache
+  // correctness is testable by comparing submit() against execute().
+  // Tenant names resolve against the same registry, pinned for the
+  // duration of this call.
   const TenantEntry* tenant = nullptr;
   std::shared_ptr<const TenantEntry> pin;
   if (req.kind == RequestKind::kDeepnEncode && !req.tenant.empty()) {
@@ -580,7 +469,7 @@ Response TranscodeService::execute(const Request& req) {
     }
     tenant = pin.get();
   }
-  return run(req, tenant, /*worker_id=*/-1, nullptr);
+  return run(req, tenant);
 }
 
 ServiceStats TranscodeService::stats() const {
@@ -590,17 +479,11 @@ ServiceStats TranscodeService::stats() const {
   s.refused_shutdown = refused_shutdown_->value();
   s.queue_capacity = queue_->capacity();
   s.queue_high_water = queue_->high_water();
-  s.shard_count = queue_->shard_count();
-  s.steals = queue_->steals();
   s.cache_hits = result_cache_.hits();
   s.cache_misses = result_cache_.misses();
   s.cache_evictions = result_cache_.evictions();
   s.cache_quota_evictions = result_cache_.quota_evictions();
   s.cache_bytes = result_cache_.bytes();
-  for (const auto& tc : table_caches_) {
-    s.table_cache_hits += tc->hits();
-    s.table_cache_misses += tc->misses();
-  }
 
   // Unknown-tenant refusals error at submission — no worker ever sees
   // them. Folding them into both errors and the kind tally preserves the
@@ -625,13 +508,10 @@ ServiceStats TranscodeService::stats() const {
     s.completed += ws.completed;
     s.errors += ws.errors;
     for (int k = 0; k < kNumRequestKinds; ++k) s.per_kind[k] += ws.per_kind[k];
-    s.batches += ws.batches;
-    s.batched_requests += ws.batched_requests;
-    s.max_batch = std::max(s.max_batch, ws.max_batch);
-    s.ctx_huffman_builds += ws.ctx_deltas.huffman_builds;
-    s.ctx_reciprocal_builds += ws.ctx_deltas.reciprocal_builds;
-    s.ctx_quality_table_builds += ws.ctx_deltas.quality_table_builds;
-    s.ctx_decoder_builds += ws.ctx_deltas.huffman_decoder_builds;
+    s.ctx_huffman_builds += ws.ctx.huffman_builds;
+    s.ctx_reciprocal_builds += ws.ctx.reciprocal_builds;
+    s.ctx_quality_table_builds += ws.ctx.quality_table_builds;
+    s.ctx_decoder_builds += ws.ctx.huffman_decoder_builds;
     queue_wait.merge(ws.queue_wait);
     service_time.merge(ws.service_time);
     total.merge(ws.total);
@@ -644,8 +524,6 @@ ServiceStats TranscodeService::stats() const {
       m.out.completed += tc.completed;
       m.out.errors += tc.errors;
       m.out.cache_hits += tc.cache_hits;
-      m.out.table_cache_hits += tc.table_hits;
-      m.out.table_cache_misses += tc.table_misses;
       m.out.ctx_huffman_builds += tc.ctx.huffman_builds;
       m.out.ctx_reciprocal_builds += tc.ctx.reciprocal_builds;
       m.out.ctx_quality_table_builds += tc.ctx.quality_table_builds;
@@ -704,15 +582,8 @@ void TranscodeService::collect_metrics(std::vector<obs::Sample>& out) const {
   counter("serve_result_cache_evictions_total", s.cache_evictions);
   counter("serve_result_cache_quota_evictions_total", s.cache_quota_evictions);
   gauge("serve_result_cache_bytes", static_cast<double>(s.cache_bytes));
-  counter("serve_table_cache_hits_total", s.table_cache_hits);
-  counter("serve_table_cache_misses_total", s.table_cache_misses);
-  counter("serve_batches_total", s.batches);
-  counter("serve_batched_requests_total", s.batched_requests);
-  gauge("serve_max_batch", static_cast<double>(s.max_batch));
   gauge("serve_queue_capacity", static_cast<double>(s.queue_capacity));
   gauge("serve_queue_high_water", static_cast<double>(s.queue_high_water));
-  gauge("serve_shard_count", static_cast<double>(s.shard_count));
-  counter("serve_steals_total", s.steals);
   counter("serve_ctx_huffman_builds_total", s.ctx_huffman_builds);
   counter("serve_ctx_reciprocal_builds_total", s.ctx_reciprocal_builds);
   counter("serve_ctx_quality_table_builds_total", s.ctx_quality_table_builds);
@@ -726,8 +597,6 @@ void TranscodeService::collect_metrics(std::vector<obs::Sample>& out) const {
     counter("serve_tenant_completed_total", t.completed, tl);
     counter("serve_tenant_errors_total", t.errors, tl);
     counter("serve_tenant_cache_hits_total", t.cache_hits, tl);
-    counter("serve_tenant_table_cache_hits_total", t.table_cache_hits, tl);
-    counter("serve_tenant_table_cache_misses_total", t.table_cache_misses, tl);
     counter("serve_tenant_ctx_huffman_builds_total", t.ctx_huffman_builds, tl);
     counter("serve_tenant_ctx_reciprocal_builds_total", t.ctx_reciprocal_builds, tl);
     counter("serve_tenant_ctx_quality_table_builds_total",

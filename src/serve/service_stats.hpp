@@ -58,9 +58,7 @@ struct TenantStats {
   std::uint64_t requests = 0;   ///< processed = completed + errors
   std::uint64_t completed = 0;
   std::uint64_t errors = 0;
-  std::uint64_t cache_hits = 0;         ///< result-cache hits
-  std::uint64_t table_cache_hits = 0;   ///< scaled-table LRU hits
-  std::uint64_t table_cache_misses = 0;
+  std::uint64_t cache_hits = 0;  ///< result-cache hits
   std::uint64_t ctx_huffman_builds = 0;
   std::uint64_t ctx_reciprocal_builds = 0;
   std::uint64_t ctx_quality_table_builds = 0;
@@ -70,7 +68,7 @@ struct TenantStats {
 
 /// Point-in-time snapshot of a service's counters and latency quantiles.
 /// Responses' payloads are deterministic; this snapshot is the one place
-/// where scheduling (timing, batching luck, cache state) is allowed to
+/// where scheduling (timing, cache state) is allowed to
 /// show.
 struct ServiceStats {
   // Request lifecycle.
@@ -89,26 +87,15 @@ struct ServiceStats {
   std::uint64_t cache_evictions = 0;
   std::uint64_t cache_quota_evictions = 0;
   std::uint64_t cache_bytes = 0;
-  // Scaled-table LRUs (per worker since digest-affinity sharding; summed).
-  std::uint64_t table_cache_hits = 0;
-  std::uint64_t table_cache_misses = 0;
 
-  // Micro-batching.
-  std::uint64_t batches = 0;           ///< pump iterations (>= 1 request each)
-  std::uint64_t batched_requests = 0;  ///< requests that shared a batch (size > 1)
-  std::uint64_t max_batch = 0;         ///< largest batch observed
-
-  // Queue pressure + digest-affinity sharding. queue_capacity is the
-  // total across shards; steals count pops a worker served from a foreign
-  // shard (stealing enabled, home shard empty).
+  // Queue pressure.
   std::uint64_t queue_capacity = 0;
   std::uint64_t queue_high_water = 0;  ///< never exceeds queue_capacity
-  std::uint64_t shard_count = 0;
-  std::uint64_t steals = 0;
 
   // Context warmth (jpeg::pipeline::CodecContext::ReuseCounters deltas,
-  // summed over workers): rebuilds of cached per-context state. Fewer
-  // rebuilds per request = micro-batching doing its job.
+  // taken around each request and summed over workers): rebuilds of
+  // cached per-context state. A same-configuration stream rebuilds once
+  // per worker; more means configurations interleave on a worker.
   std::uint64_t ctx_huffman_builds = 0;
   std::uint64_t ctx_reciprocal_builds = 0;
   std::uint64_t ctx_quality_table_builds = 0;

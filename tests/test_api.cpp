@@ -603,7 +603,6 @@ TEST(ApiRegistry, ServiceRegistryIsLiveAndMetricsAttributeTenants) {
   EXPECT_EQ(again.bytes, first.bytes);
 
   const api::ServiceMetrics m = service.metrics();
-  EXPECT_EQ(m.shard_count, 2u) << "digest sharding defaults on: one shard per worker";
   ASSERT_EQ(m.tenants.size(), 1u);
   EXPECT_EQ(m.tenants[0].name, "edge");
   EXPECT_EQ(m.tenants[0].requests, 2u);
@@ -611,10 +610,6 @@ TEST(ApiRegistry, ServiceRegistryIsLiveAndMetricsAttributeTenants) {
   EXPECT_EQ(m.tenants[0].errors, 0u);
   EXPECT_GE(m.tenants[0].cache_hits, 1u) << "identical repeat must hit the result cache";
   EXPECT_GT(m.cache_bytes, 0u);
-
-  // Unsharded opt-out is honored and reported.
-  api::Service flat(api::ServiceOptions().workers(2).shard_by_digest(false));
-  EXPECT_EQ(flat.metrics().shard_count, 1u);
 }
 
 TEST(ApiCAbi, RegistryLifecycleAndServedIdentity) {

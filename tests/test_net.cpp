@@ -6,7 +6,7 @@
 // bit for bit — across worker counts, cache states, and both poller
 // backends. That is the serving determinism contract crossing the wire;
 // everything between the client and the codec (marshalling, framing,
-// socket fragmentation, micro-batching, caching, write-back) must be
+// socket fragmentation, scheduling, caching, write-back) must be
 // payload-transparent for it to hold.
 //
 // The rest covers the connection state machine: pipelining and response
@@ -334,7 +334,6 @@ TEST(NetServer, OverloadYieldsTypedRejection) {
   cfg.workers = 1;
   cfg.queue_capacity = 1;
   cfg.admission = serve::AdmissionPolicy::kReject;
-  cfg.max_batch = 1;
   cfg.cache_capacity = 0;
   TestServer ts(std::move(cfg));
   Client client = ts.connect();
@@ -407,7 +406,6 @@ TEST(NetServer, IdleConnectionsAreClosed) {
 TEST(NetServer, GracefulDrainFlushesSubmittedWork) {
   serve::ServiceConfig cfg;
   cfg.workers = 1;
-  cfg.max_batch = 1;
   TestServer ts(std::move(cfg));
   Client client = ts.connect();
   std::string error;

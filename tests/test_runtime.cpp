@@ -241,32 +241,6 @@ TEST(MpmcQueue, CloseWakesBlockedPusherWithFailure) {
   EXPECT_FALSE(q.pop(out));
 }
 
-TEST(MpmcQueue, PopWhileTakesOnlyMatchingPrefix) {
-  MpmcQueue<int> q(16);
-  for (int v : {2, 4, 6, 7, 8}) {
-    int item = v;
-    ASSERT_TRUE(q.try_push(item));
-  }
-  std::vector<int> batch;
-  // Takes the even prefix and stops at 7 without skipping past it.
-  const std::size_t taken =
-      q.pop_while([](const int& v) { return v % 2 == 0; }, 8, batch);
-  EXPECT_EQ(taken, 3u);
-  EXPECT_EQ(batch, (std::vector<int>{2, 4, 6}));
-  int out;
-  ASSERT_TRUE(q.pop(out));
-  EXPECT_EQ(out, 7);  // FIFO preserved: nothing was popped out of order
-  // `max` bounds the take even when more heads match.
-  batch.clear();
-  ASSERT_TRUE(q.pop(out));
-  for (int v : {10, 12, 14}) {
-    int item = v;
-    ASSERT_TRUE(q.try_push(item));
-  }
-  EXPECT_EQ(q.pop_while([](const int&) { return true; }, 2, batch), 2u);
-  EXPECT_EQ(batch, (std::vector<int>{10, 12}));
-}
-
 TEST(ParallelMap, ResultsAreInIndexOrder) {
   for (int threads : {1, 2, 8}) {
     const std::vector<std::size_t> out = parallel_map(

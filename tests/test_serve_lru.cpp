@@ -114,8 +114,8 @@ TEST(ServeLru, QuotaLargerThanIncomingValueBlocksAdmission) {
 }
 
 TEST(ServeLru, ByteBlindEntriesIgnoreQuotas) {
-  // The scaled-table caches use the two-argument put (zero recorded
-  // bytes): quotas and byte ceilings must never evict those.
+  // The two-argument put records zero bytes: quotas and byte ceilings
+  // must never evict those entries.
   Cache cache(16, /*max_bytes=*/10, /*tenant_quota_bytes=*/10);
   cache.put(1, "blind-a");
   cache.put(2, "blind-b");
