@@ -65,45 +65,15 @@ int BitReader::next_data_byte() {
   return -1;
 }
 
-void BitReader::refill(int need) {
-  while (bit_count_ < need) {
-    // Fast gulp: a 4-byte word containing no 0xFF can hold neither a
-    // stuffed byte nor a marker, so all four bytes are data and load in
-    // one shot. Words with any 0xFF fall to the per-byte unstuffing loop.
-    if (bit_count_ <= 32 && pos_ + 4 <= size_) {
-      const std::uint32_t word = (static_cast<std::uint32_t>(data_[pos_]) << 24) |
-                                 (static_cast<std::uint32_t>(data_[pos_ + 1]) << 16) |
-                                 (static_cast<std::uint32_t>(data_[pos_ + 2]) << 8) |
-                                 static_cast<std::uint32_t>(data_[pos_ + 3]);
-      const std::uint32_t inv = ~word;
-      if (((inv - 0x01010101u) & ~inv & 0x80808080u) == 0) {
-        acc_ = (acc_ << 32) | word;
-        bit_count_ += 32;
-        pos_ += 4;
-        continue;
-      }
-    }
-    const int b = next_data_byte();
-    if (b < 0) return;
-    acc_ = (acc_ << 8) | static_cast<std::uint64_t>(b);
-    bit_count_ += 8;
+BitReader BitReader::walk_bytes(BitReader r) {
+  while (r.bit_count_ <= 56) {
+    const int b = r.next_data_byte();
+    if (b < 0) break;
+    r.acc_ |= static_cast<std::uint64_t>(b) << (56 - r.bit_count_);
+    r.bit_count_ += 8;
   }
+  return r;
 }
-
-std::int32_t BitReader::get_bits(int count) {
-  if (count == 0) return 0;
-  if (bit_count_ < count) {
-    refill(count);
-    if (bit_count_ < count) {
-      hit_marker_ = true;
-      return -1;
-    }
-  }
-  bit_count_ -= count;
-  return static_cast<std::int32_t>((acc_ >> bit_count_) & ((1ull << count) - 1ull));
-}
-
-std::int32_t BitReader::get_bit() { return get_bits(1); }
 
 bool BitReader::at_marker() const { return peek_marker() != 0; }
 
@@ -122,7 +92,6 @@ std::uint8_t BitReader::take_marker() {
   pos_ += 2;
   acc_ = 0;
   bit_count_ = 0;
-  hit_marker_ = false;
   return code;
 }
 

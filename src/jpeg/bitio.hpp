@@ -173,35 +173,57 @@ class BitReader {
 
   /// Reads `count` bits MSB-first, count in [0, 32]. Returns -1 if the scan
   /// data is exhausted or a marker is hit (callers treat that as a
-  /// corrupt-stream error except for expected RST/EOI handling).
-  std::int32_t get_bits(int count);
+  /// corrupt-stream error except for expected RST/EOI handling). Inline: the
+  /// decoder reads magnitude bits through it.
+  std::int32_t get_bits(int count) {
+    if (count == 0) return 0;
+    if (bit_count_ < count && fill() < count) return -1;
+    return static_cast<std::int32_t>(take(count));
+  }
 
   /// Reads a single bit; -1 on marker/end.
-  std::int32_t get_bit();
+  std::int32_t get_bit() { return get_bits(1); }
 
-  /// Tops up the accumulator to at least `count` buffered bits where the
-  /// stream allows (count in [1, 32]); returns the number of bits now
-  /// buffered (may be less near a marker or the end of data). Pure
-  /// lookahead for the table-driven Huffman fast path: never consumes bits
-  /// and never latches the marker/end state.
-  int ensure(int count) {
-    if (bit_count_ < count) refill(count);
+  /// Tops up the buffer and returns the number of buffered bits: at least 57
+  /// unless a marker or the end of data is within reach, and then every data
+  /// bit before it. Call with fewer than 32 bits buffered. When none of the
+  /// next eight bytes is 0xFF they can hold neither a stuffed byte nor a
+  /// marker, so one big-endian 8-byte load supplies as many whole bytes as
+  /// fit (up to seven). Otherwise the bytes are walked one at a time, which
+  /// unstuffs, skips fill bytes and stops at a marker or the end of data.
+  /// Never reads at or past `size`.
+  int fill() {
+    if (pos_ + 8 <= size_) {
+      const std::uint64_t w = load_be64(data_ + pos_);
+      // A byte of w is 0xFF exactly when that byte of ~w is zero.
+      if (((~w - 0x0101010101010101ull) & w & 0x8080808080808080ull) == 0) {
+        acc_ |= w >> bit_count_;
+        pos_ += static_cast<std::size_t>((63 - bit_count_) >> 3);
+        bit_count_ |= 56;  // == bit_count_ + 8 * (bytes taken) for bit_count_ < 64
+        return bit_count_;
+      }
+    }
+    *this = walk_bytes(*this);
     return bit_count_;
   }
 
-  /// The next `count` buffered bits without consuming them, zero-padded on
-  /// the right when fewer than `count` bits are buffered. count in [1, 32].
-  std::uint32_t peek(int count) const {
-    if (bit_count_ >= count)
-      return static_cast<std::uint32_t>((acc_ >> (bit_count_ - count)) &
-                                        ((1ull << count) - 1ull));
-    return static_cast<std::uint32_t>((acc_ & ((1ull << bit_count_) - 1ull))
-                                      << (count - bit_count_));
+  /// The buffered bits, left-aligned: bit 63 is the next bit of the scan.
+  /// Bits past buffered_bits() are zero or the scan's next data bits, so a
+  /// lookup on them is only meaningful up to buffered_bits().
+  std::uint64_t window() const { return acc_; }
+
+  /// Drops `count` buffered bits, count in [0, buffered_bits()].
+  void skip(int count) {
+    acc_ <<= count;
+    bit_count_ -= count;
   }
 
-  /// Consumes `count` bits previously observed via ensure()/peek().
-  /// Precondition: count <= the buffered count ensure() returned.
-  void consume(int count) { bit_count_ -= count; }
+  /// The next `count` bits, count in [1, buffered_bits()] and at most 32.
+  std::uint32_t take(int count) {
+    const auto v = static_cast<std::uint32_t>(acc_ >> (64 - count));
+    skip(count);
+    return v;
+  }
 
   /// True when positioned at a marker (0xFF followed by a non-stuffing,
   /// non-fill byte). Like the other marker helpers this inspects the byte
@@ -218,22 +240,35 @@ class BitReader {
   std::uint8_t take_marker();
 
   /// Byte offset of the next unread byte. With read-ahead this can run up
-  /// to eight buffered (unconsumed) bits past the logical bit position.
+  /// to seven buffered (unconsumed) bytes past the logical bit position.
   std::size_t position() const { return pos_; }
 
   /// Bits buffered but not yet consumed.
   int buffered_bits() const { return bit_count_; }
 
  private:
+  static std::uint64_t load_be64(const std::uint8_t* p) {
+#if defined(__GNUC__) || defined(__clang__)
+    std::uint64_t w;
+    __builtin_memcpy(&w, p, 8);
+    return __builtin_bswap64(w);
+#else
+    std::uint64_t w = 0;
+    for (int i = 0; i < 8; ++i) w = (w << 8) | p[i];
+    return w;
+#endif
+  }
+
   int next_data_byte();
-  void refill(int need);
+  // The byte walk behind fill(). It takes and returns the reader by value,
+  // so a decoder holding a BitReader copy in registers keeps it there.
+  static BitReader walk_bytes(BitReader r);
 
   const std::uint8_t* data_;
   std::size_t size_;
   std::size_t pos_ = 0;
-  std::uint64_t acc_ = 0;
+  std::uint64_t acc_ = 0;  // buffered bits, left-aligned (see window())
   int bit_count_ = 0;
-  bool hit_marker_ = false;
 };
 
 }  // namespace dnj::jpeg

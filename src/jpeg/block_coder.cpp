@@ -24,14 +24,6 @@ int lowest_set_bit(std::uint64_t m) {
 #endif
 }
 
-// Value extension for decoding (T.81 F.2.2.1 EXTEND): a `size`-bit raw value
-// whose MSB is 0 encodes a negative coefficient.
-int extend(int v, int size) {
-  if (size == 0) return 0;
-  if (v < (1 << (size - 1))) return v - (1 << size) + 1;
-  return v;
-}
-
 // Low `size` bits that encode `v` (negative values use v - 1 semantics).
 // Branchless: (v - 1) mod 2^size equals (v + 2^size - 1) mod 2^size, so the
 // sign adjustment folds into one add of 0 or -1 — coefficient signs are
@@ -220,21 +212,28 @@ bool decode_block(BitReader& br, QuantizedBlock& block, int& dc_pred,
 
 bool decode_block(BitReader& br, std::int16_t* block, int& dc_pred,
                   const HuffmanDecoder& dc_table, const HuffmanDecoder& ac_table) {
+  if (dc_table.lut_bits() > 0 && ac_table.lut_bits() > 0)
+    return decode_block_fast(br, block, dc_pred, dc_table, ac_table);
+  return decode_block_reference(br, block, dc_pred, dc_table, ac_table);
+}
+
+bool decode_block_reference(BitReader& br, std::int16_t* block, int& dc_pred,
+                            const HuffmanDecoder& dc_table, const HuffmanDecoder& ac_table) {
   std::fill(block, block + 64, static_cast<std::int16_t>(0));
-  const int dc_cat = dc_table.decode_fast(br);
+  const int dc_cat = dc_table.decode(br);
   if (dc_cat < 0 || dc_cat > 15) return false;
   int diff = 0;
   if (dc_cat > 0) {
     const std::int32_t raw = br.get_bits(dc_cat);
     if (raw < 0) return false;
-    diff = extend(raw, dc_cat);
+    diff = extend_magnitude(static_cast<std::uint32_t>(raw), dc_cat);
   }
-  dc_pred += diff;
+  dc_pred = static_cast<std::int16_t>(dc_pred + diff);  // see decode_block_fast
   block[0] = static_cast<std::int16_t>(dc_pred);
 
   int k = 1;
   while (k < 64) {
-    const int sym = ac_table.decode_fast(br);
+    const int sym = ac_table.decode(br);
     if (sym < 0) return false;
     if (sym == 0x00) break;  // EOB
     const int run = sym >> 4;
@@ -249,7 +248,7 @@ bool decode_block(BitReader& br, std::int16_t* block, int& dc_pred,
     const std::int32_t raw = br.get_bits(cat);
     if (raw < 0) return false;
     block[static_cast<std::size_t>(kZigzag[static_cast<std::size_t>(k)])] =
-        static_cast<std::int16_t>(extend(raw, cat));
+        static_cast<std::int16_t>(extend_magnitude(static_cast<std::uint32_t>(raw), cat));
     ++k;
   }
   return true;

@@ -7,10 +7,12 @@
 
 #include <array>
 #include <cstdint>
+#include <cstring>
 
 #include "jpeg/bitio.hpp"
 #include "jpeg/huffman.hpp"
 #include "jpeg/quant.hpp"
+#include "jpeg/zigzag.hpp"
 
 namespace dnj::jpeg {
 
@@ -67,7 +69,8 @@ void encode_blocks(BitWriter& bw, const std::int16_t* blocks, std::size_t count,
 void count_block_symbols(const std::int16_t* block, int& dc_pred, SymbolCounts& counts);
 
 /// Decodes one block into natural-order quantized coefficients. Returns
-/// false on a corrupt or truncated stream.
+/// false on a corrupt or truncated stream. Takes decode_block_fast when both
+/// tables carry a fast table, and the reference walk otherwise.
 bool decode_block(BitReader& br, QuantizedBlock& block, int& dc_pred,
                   const HuffmanDecoder& dc_table, const HuffmanDecoder& ac_table);
 
@@ -75,5 +78,119 @@ bool decode_block(BitReader& br, QuantizedBlock& block, int& dc_pred,
 /// (e.g. into a pipeline::QuantPlane arena slot).
 bool decode_block(BitReader& br, std::int16_t* block, int& dc_pred,
                   const HuffmanDecoder& dc_table, const HuffmanDecoder& ac_table);
+
+/// The reference walk (DNJ_ENTROPY_LUT_BITS=0): every code bit by bit
+/// through HuffmanDecoder::decode, every magnitude through get_bits.
+bool decode_block_reference(BitReader& br, std::int16_t* block, int& dc_pred,
+                            const HuffmanDecoder& dc_table, const HuffmanDecoder& ac_table);
+
+/// The fast path: one fast-table lookup per symbol, which for most symbols
+/// also yields the magnitude, MAXCODE walked in registers for longer codes,
+/// and the reference walk for a code read with fewer than 16 bits in reach
+/// (near a marker or the end of data). Magnitudes that are not in the table
+/// entry go through get_bits, which checks they are in reach. Consumes the
+/// same bits, writes the same coefficients and fails on the same streams as
+/// the reference walk. Requires both tables built with lut_bits() > 0.
+/// Inline, with the reader state copied into locals, so an MCU loop pays no
+/// call per block and the bit buffer stays in registers.
+#if defined(__GNUC__) || defined(__clang__)
+__attribute__((always_inline))
+#endif
+inline bool decode_block_fast(BitReader& br, std::int16_t* block, int& dc_pred,
+                              const HuffmanDecoder& dc_table, const HuffmanDecoder& ac_table) {
+  using D = HuffmanDecoder;
+  // A copy of a zero block rather than a memset: GCC expands a 128-byte
+  // memset into `rep stosq`, whose start-up costs more per block than the
+  // eight vector stores it emits for this copy.
+  static constexpr std::int16_t kZeroBlock[64] = {};
+  std::memcpy(block, kZeroBlock, sizeof kZeroBlock);
+  BitReader r = br;
+
+  int cat = -1;
+  int diff = 0;
+  bool diff_read = false;  // the table entry carried the magnitude
+  if (r.buffered_bits() < 16 && r.fill() < 16) {
+    br = r;
+    cat = dc_table.decode(br);
+    r = br;
+  } else {
+    const std::uint32_t e = dc_table.lookup(r.window());
+    if (e & D::kValue) {
+      r.skip(D::entry_bits(e));
+      cat = D::entry_symbol(e);
+      diff = D::entry_value(e);
+      diff_read = true;
+    } else if (D::entry_bits(e) != 0) {
+      r.skip(D::entry_bits(e));
+      cat = D::entry_symbol(e);
+    } else {
+      int len = 0;
+      cat = dc_table.decode_long(r.window(), len);
+      if (cat >= 0) r.skip(len);
+    }
+  }
+  if (cat < 0 || cat > 15) return false;
+  if (cat > 0 && !diff_read) {
+    const std::int32_t raw = r.get_bits(cat);
+    if (raw < 0) return false;
+    diff = extend_magnitude(static_cast<std::uint32_t>(raw), cat);
+  }
+  // Kept within int16 range: the stored coefficient is the same modulo
+  // 2^16, and a long hostile scan cannot overflow the predictor.
+  dc_pred = static_cast<std::int16_t>(dc_pred + diff);
+  block[0] = static_cast<std::int16_t>(dc_pred);
+
+  for (int k = 1; k < 64;) {
+    int sym = -1;
+    if (r.buffered_bits() < 16 && r.fill() < 16) {
+      br = r;
+      sym = ac_table.decode(br);
+      r = br;
+      if (sym < 0) return false;
+    } else {
+      const std::uint32_t e = ac_table.lookup(r.window());
+      if (e & D::kValue) {  // the common case: code and magnitude in one entry
+        r.skip(D::entry_bits(e));
+        if (e & D::kNoSize) {
+          const int s = D::entry_symbol(e);
+          if (s == 0x00) break;         // EOB
+          if (s != 0xF0) return false;  // only ZRL has size 0
+          k += 16;
+          continue;
+        }
+        k += D::entry_run(e);
+        if (k > 63) return false;
+        block[kZigzag[static_cast<std::size_t>(k)]] = D::entry_value(e);
+        ++k;
+        continue;
+      }
+      if (D::entry_bits(e) != 0) {
+        r.skip(D::entry_bits(e));
+        sym = D::entry_symbol(e);
+      } else {
+        int len = 0;
+        sym = ac_table.decode_long(r.window(), len);
+        if (sym < 0) return false;
+        r.skip(len);
+      }
+    }
+    const int size = sym & 15;
+    if (size == 0) {
+      if (sym == 0x00) break;
+      if (sym != 0xF0) return false;
+      k += 16;
+      continue;
+    }
+    k += sym >> 4;
+    if (k > 63) return false;
+    const std::int32_t raw = r.get_bits(size);
+    if (raw < 0) return false;
+    block[kZigzag[static_cast<std::size_t>(k)]] =
+        static_cast<std::int16_t>(extend_magnitude(static_cast<std::uint32_t>(raw), size));
+    ++k;
+  }
+  br = r;
+  return true;
+}
 
 }  // namespace dnj::jpeg

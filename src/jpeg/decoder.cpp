@@ -39,6 +39,15 @@ struct FrameComponent {
   int ac_table = 0;
   int blocks_x = 0, blocks_y = 0;  // padded grid within the MCU lattice
   std::int16_t* coeffs = nullptr;  // natural-order blocks in the context arena
+  const HuffmanDecoder* dc = nullptr;  // resolved by decode_scan
+  const HuffmanDecoder* ac = nullptr;
+};
+
+// The latest DHT definition of one table slot, parsed into fixed storage.
+struct HuffmanTableDef {
+  std::array<std::uint8_t, 17> counts{};
+  std::array<std::uint8_t, 256> symbols{};
+  bool defined = false;
 };
 
 class Parser {
@@ -47,11 +56,8 @@ class Parser {
       : ctx_(ctx), data_(data), size_(size) {}
 
   JpegInfo info;
-  std::vector<FrameComponent> comps;
-  // Decoder tables live in the context cache; a warm context decoding a
-  // same-table stream skips the per-image table derivation and LUT fill.
-  const HuffmanDecoder* dc_tables[4] = {};
-  const HuffmanDecoder* ac_tables[4] = {};
+  std::array<FrameComponent, pipeline::kMaxComponents> comps;
+  std::size_t num_comps = 0;
   int mcus_x = 0, mcus_y = 0;
   std::size_t scan_start = 0;  // offset of entropy-coded data
 
@@ -96,16 +102,26 @@ class Parser {
   }
 
   void decode_scan(int num_threads) {
+    // Resolve the scan's Huffman tables together, after the last DHT
+    // segment and before the first bit: the context cache keeps the
+    // sixteen tables requested last, so all of them (at most eight) stay
+    // valid while the scan decodes. A warm context decoding a same-table
+    // stream skips the per-image table derivation and fast-table fill.
+    fast_ = true;
+    for (std::size_t ci = 0; ci < num_comps; ++ci) {
+      FrameComponent& c = comps[ci];
+      c.dc = resolve_table(0, c.dc_table);
+      c.ac = resolve_table(1, c.ac_table);
+      fast_ = fast_ && c.dc->lut_bits() > 0 && c.ac->lut_bits() > 0;
+    }
     // Size the per-component coefficient arenas now (parse_info never gets
     // here, so header-only parses leave the context untouched). No
     // zero-fill needed: the MCU walk visits every grid block exactly once
-    // and decode_block clears each block before writing it.
-    for (std::size_t ci = 0; ci < comps.size(); ++ci) {
+    // and the block decoder clears each block before writing it.
+    for (std::size_t ci = 0; ci < num_comps; ++ci) {
       pipeline::QuantPlane& plane = ctx_.decode_coeffs[ci];
       plane.reshape(comps[ci].blocks_x, comps[ci].blocks_y);
       comps[ci].coeffs = plane.data();
-      if (!dc_tables[comps[ci].dc_table] || !ac_tables[comps[ci].ac_table])
-        fail("scan references undefined Huffman table");
     }
     const int total_mcus = mcus_x * mcus_y;
     if (info.restart_interval > 0 && total_mcus > info.restart_interval) {
@@ -120,23 +136,35 @@ class Parser {
   /// Decodes MCUs [m0, m1) from `br`, DC predictors starting at zero —
   /// exactly the state at the start of a scan or after a restart marker.
   void decode_mcu_range(BitReader& br, int m0, int m1) {
+    if (fast_)
+      decode_mcus<true>(br, m0, m1);
+    else
+      decode_mcus<false>(br, m0, m1);
+  }
+
+  template <bool kFast>
+  void decode_mcus(BitReader& br, int m0, int m1) {
     std::array<int, pipeline::kMaxComponents> dc_pred{};
+    int my = m0 / mcus_x;
+    int mx = m0 % mcus_x;
     for (int mcu_index = m0; mcu_index < m1; ++mcu_index) {
-      const int my = mcu_index / mcus_x;
-      const int mx = mcu_index % mcus_x;
-      for (std::size_t ci = 0; ci < comps.size(); ++ci) {
+      for (std::size_t ci = 0; ci < num_comps; ++ci) {
         const FrameComponent& c = comps[ci];
         for (int by = 0; by < c.v; ++by) {
-          for (int bx = 0; bx < c.h; ++bx) {
-            const int gx = mx * c.h + bx;
-            const int gy = my * c.v + by;
-            std::int16_t* blk =
-                c.coeffs + (static_cast<std::size_t>(gy) * c.blocks_x + gx) * 64;
-            if (!decode_block(br, blk, dc_pred[ci], *dc_tables[c.dc_table],
-                              *ac_tables[c.ac_table]))
-              fail("corrupt entropy-coded data");
+          std::int16_t* blk =
+              c.coeffs +
+              (static_cast<std::size_t>(my * c.v + by) * c.blocks_x + mx * c.h) * 64;
+          for (int bx = 0; bx < c.h; ++bx, blk += 64) {
+            const bool ok =
+                kFast ? decode_block_fast(br, blk, dc_pred[ci], *c.dc, *c.ac)
+                      : decode_block_reference(br, blk, dc_pred[ci], *c.dc, *c.ac);
+            if (!ok) fail("corrupt entropy-coded data");
           }
         }
+      }
+      if (++mx == mcus_x) {
+        mx = 0;
+        ++my;
       }
     }
   }
@@ -213,7 +241,7 @@ class Parser {
     // in-place batched IDCT, then untile (+128 level unshift) into the
     // component's plane arena. Identical arithmetic to the seed's per-block
     // idct(dequantize(...)) loop, with zero per-block allocations.
-    for (std::size_t ci = 0; ci < comps.size(); ++ci) {
+    for (std::size_t ci = 0; ci < num_comps; ++ci) {
       const FrameComponent& c = comps[ci];
       if (!info.quant_tables[c.tq]) fail("component references undefined DQT");
       const QuantTable& qt = *info.quant_tables[c.tq];
@@ -226,7 +254,7 @@ class Parser {
       image::untile_blocks_from(fp.data(), c.blocks_x, c.blocks_y, plane, 128.0f);
     }
 
-    if (comps.size() == 1) {
+    if (num_comps == 1) {
       image::Image img(info.width, info.height, 1);
       image::from_plane(ctx_.decode_planes[0], img, 0);
       return img;
@@ -246,7 +274,7 @@ class Parser {
     const int w = info.width;
     const int h = info.height;
     bool half[pipeline::kMaxComponents] = {};
-    for (std::size_t ci = 0; ci < comps.size(); ++ci) {
+    for (std::size_t ci = 0; ci < num_comps; ++ci) {
       const FrameComponent& c = comps[ci];
       if (c.h == info.max_h && c.v == info.max_v) continue;
       if (ci == 0 || 2 * c.h != info.max_h || 2 * c.v != info.max_v)
@@ -269,7 +297,7 @@ class Parser {
       const int y1 = std::min(y0 + 1, in_h - 1);
       const float wy = y == 0 ? 0.0f : (y % 2 == 1 ? 0.25f : 0.75f);
       const float* src[pipeline::kMaxComponents];
-      for (std::size_t ci = 0; ci < comps.size(); ++ci) {
+      for (std::size_t ci = 0; ci < num_comps; ++ci) {
         const PlaneF& plane = ctx_.decode_planes[ci];
         if (!half[ci]) {
           src[ci] = plane_row(plane, y);
@@ -358,22 +386,29 @@ class Parser {
       const int tc = tc_th >> 4;
       const int th = tc_th & 0x0F;
       if (tc > 1 || th > 3) fail("bad DHT class/index");
-      HuffmanSpec spec;
+      // A later definition of the same slot replaces this one; decode_scan
+      // resolves only the definitions the scan ends up referencing.
+      HuffmanTableDef& t = huffman_[tc][th];
       int total = 0;
       for (int l = 1; l <= 16; ++l) {
-        spec.counts[static_cast<std::size_t>(l)] = read_u8();
-        total += spec.counts[static_cast<std::size_t>(l)];
+        t.counts[static_cast<std::size_t>(l)] = read_u8();
+        total += t.counts[static_cast<std::size_t>(l)];
       }
       if (total > 256) fail("bad DHT symbol count");
-      spec.symbols.reserve(static_cast<std::size_t>(total));
-      for (int i = 0; i < total; ++i) spec.symbols.push_back(read_u8());
+      for (int i = 0; i < total; ++i) t.symbols[static_cast<std::size_t>(i)] = read_u8();
       try {
-        const HuffmanDecoder& dec = ctx_.decoder_for(spec);
-        (tc == 0 ? dc_tables : ac_tables)[th] = &dec;
+        HuffmanSpec::validate_counts(t.counts);
       } catch (const std::invalid_argument& e) {
         fail(std::string("invalid Huffman table: ") + e.what());
       }
+      t.defined = true;
     }
+  }
+
+  const HuffmanDecoder* resolve_table(int tc, int th) {
+    const HuffmanTableDef& t = huffman_[tc][th];
+    if (!t.defined) fail("scan references undefined Huffman table");
+    return &ctx_.decoder_for(t.counts, t.symbols.data());
   }
 
   void read_sof() {
@@ -387,8 +422,8 @@ class Parser {
     info.components = read_u8();
     if (info.components != 1 && info.components != 3)
       fail("only 1- or 3-component frames supported");
-    comps.clear();
-    for (int i = 0; i < info.components; ++i) {
+    num_comps = static_cast<std::size_t>(info.components);
+    for (std::size_t i = 0; i < num_comps; ++i) {
       FrameComponent c;
       c.id = read_u8();
       const std::uint8_t hv = read_u8();
@@ -397,19 +432,19 @@ class Parser {
       c.tq = read_u8();
       if (c.h < 1 || c.h > 2 || c.v < 1 || c.v > 2 || c.tq > 3)
         fail("unsupported component parameters");
-      comps.push_back(c);
+      comps[i] = c;
     }
     info.max_h = 1;
     info.max_v = 1;
-    for (const FrameComponent& c : comps) {
-      info.max_h = std::max(info.max_h, c.h);
-      info.max_v = std::max(info.max_v, c.v);
+    for (std::size_t i = 0; i < num_comps; ++i) {
+      info.max_h = std::max(info.max_h, comps[i].h);
+      info.max_v = std::max(info.max_v, comps[i].v);
     }
     mcus_x = (info.width + info.max_h * kBlockDim - 1) / (info.max_h * kBlockDim);
     mcus_y = (info.height + info.max_v * kBlockDim - 1) / (info.max_v * kBlockDim);
-    for (FrameComponent& c : comps) {
-      c.blocks_x = mcus_x * c.h;
-      c.blocks_y = mcus_y * c.v;
+    for (std::size_t i = 0; i < num_comps; ++i) {
+      comps[i].blocks_x = mcus_x * comps[i].h;
+      comps[i].blocks_y = mcus_y * comps[i].v;
     }
   }
 
@@ -420,18 +455,19 @@ class Parser {
   }
 
   void read_sos() {
-    if (comps.empty()) fail("SOS before SOF");
+    if (num_comps == 0) fail("SOS before SOF");
     const std::uint16_t len = read_u16();
     const int ns = read_u8();
-    if (ns != static_cast<int>(comps.size()))
+    if (ns != static_cast<int>(num_comps))
       fail("scan component count differs from frame (progressive not supported)");
     if (len != 6 + 2 * ns) fail("bad SOS length");
     for (int i = 0; i < ns; ++i) {
       const int cs = read_u8();
       const std::uint8_t td_ta = read_u8();
-      auto it = std::find_if(comps.begin(), comps.end(),
-                             [cs](const FrameComponent& c) { return c.id == cs; });
-      if (it == comps.end()) fail("scan references unknown component");
+      const auto end = comps.begin() + static_cast<std::ptrdiff_t>(num_comps);
+      const auto it = std::find_if(comps.begin(), end,
+                                   [cs](const FrameComponent& c) { return c.id == cs; });
+      if (it == end) fail("scan references unknown component");
       it->dc_table = td_ta >> 4;
       it->ac_table = td_ta & 0x0F;
       if (it->dc_table > 3 || it->ac_table > 3) fail("bad scan table index");
@@ -447,6 +483,8 @@ class Parser {
   const std::uint8_t* data_;
   std::size_t size_;
   std::size_t pos_ = 0;
+  HuffmanTableDef huffman_[2][4];  // [class: 0 DC, 1 AC][index]
+  bool fast_ = true;  // every scan table has a fast table
 };
 
 }  // namespace

@@ -36,8 +36,9 @@ struct JpegInfo {
 /// context-taking overload decodes through the caller's arenas (coefficient
 /// stores, dequantized planes, the chroma row ring) with batched dequantize
 /// + IDCT; the other uses the calling thread's shared context. Colour frames
-/// are rebuilt row by row straight into the returned Image, so on a warm
-/// context that Image is the only allocation that grows with the image. The
+/// are rebuilt row by row straight into the returned Image, and headers
+/// parse into fixed arrays, so on a warm context a stream without restart
+/// intervals allocates only that Image. The
 /// pixels are byte-identical to image::upsample_2x2 + image::to_rgb over the
 /// decoded planes. ByteSpan converts implicitly from std::vector<uint8_t>;
 /// callers holding mapped or foreign buffers pass {ptr, size} without a copy.

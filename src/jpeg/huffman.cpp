@@ -26,10 +26,10 @@ struct CanonicalCodes {
   std::vector<std::uint16_t> codes;  // per symbol, in spec order
 };
 
-CanonicalCodes derive_codes(const HuffmanSpec& spec) {
+CanonicalCodes derive_codes(const std::array<std::uint8_t, 17>& counts) {
   CanonicalCodes cc;
   for (int l = 1; l <= 16; ++l)
-    for (int i = 0; i < spec.counts[static_cast<std::size_t>(l)]; ++i)
+    for (int i = 0; i < counts[static_cast<std::size_t>(l)]; ++i)
       cc.sizes.push_back(static_cast<std::uint8_t>(l));
   cc.codes.resize(cc.sizes.size());
   std::uint16_t code = 0;
@@ -47,13 +47,18 @@ CanonicalCodes derive_codes(const HuffmanSpec& spec) {
   return cc;
 }
 
+const HuffmanSpec& validated(const HuffmanSpec& spec) {
+  spec.validate();
+  return spec;
+}
+
 constexpr int kMaxLutBits = 12;  // 4096 entries / table; wider gains nothing
 
 int clamp_lut_bits(int bits) { return std::clamp(bits, 0, kMaxLutBits); }
 
 std::atomic<int>& lut_bits_state() {
   static std::atomic<int> state = [] {
-    int bits = 8;
+    int bits = 10;
     if (const char* env = std::getenv("DNJ_ENTROPY_LUT_BITS")) {
       char* end = nullptr;
       const long parsed = std::strtol(env, &end, 10);
@@ -83,6 +88,10 @@ int HuffmanSpec::symbol_count() const {
 void HuffmanSpec::validate() const {
   if (static_cast<int>(symbols.size()) != symbol_count())
     throw std::invalid_argument("HuffmanSpec: symbol list does not match counts");
+  validate_counts(counts);
+}
+
+void HuffmanSpec::validate_counts(const std::array<std::uint8_t, 17>& counts) {
   // Kraft inequality: sum over lengths of counts[l] * 2^-l must be <= 1.
   long long kraft = 0;  // scaled by 2^16
   for (int l = 1; l <= 16; ++l)
@@ -222,7 +231,7 @@ HuffmanSpec HuffmanSpec::build_optimal(const std::array<std::uint32_t, 256>& sym
 
 HuffmanEncoder::HuffmanEncoder(const HuffmanSpec& spec) {
   spec.validate();
-  const CanonicalCodes cc = derive_codes(spec);
+  const CanonicalCodes cc = derive_codes(spec.counts);
   for (std::size_t k = 0; k < spec.symbols.size(); ++k) {
     const std::uint8_t sym = spec.symbols[k];
     if (packed_[sym] != 0) throw std::invalid_argument("HuffmanEncoder: duplicate symbol");
@@ -242,12 +251,18 @@ HuffmanEncoder::HuffmanEncoder(const HuffmanSpec& spec) {
   }
 }
 
-HuffmanDecoder::HuffmanDecoder(const HuffmanSpec& spec) : symbols_(spec.symbols) {
-  spec.validate();
-  const CanonicalCodes cc = derive_codes(spec);
+HuffmanDecoder::HuffmanDecoder(const HuffmanSpec& spec)
+    : HuffmanDecoder(validated(spec).counts, spec.symbols.data()) {}
+
+HuffmanDecoder::HuffmanDecoder(const std::array<std::uint8_t, 17>& counts,
+                               const std::uint8_t* symbols) {
+  HuffmanSpec::validate_counts(counts);
+  const CanonicalCodes cc = derive_codes(counts);
+  if (cc.sizes.size() > 256) throw std::invalid_argument("HuffmanDecoder: more than 256 symbols");
+  symbols_.assign(symbols, symbols + cc.sizes.size());
   std::size_t k = 0;
   for (int l = 1; l <= 16; ++l) {
-    if (spec.counts[static_cast<std::size_t>(l)] == 0) {
+    if (counts[static_cast<std::size_t>(l)] == 0) {
       min_code_[static_cast<std::size_t>(l)] = 0;
       max_code_[static_cast<std::size_t>(l)] = -1;
       val_ptr_[static_cast<std::size_t>(l)] = 0;
@@ -255,29 +270,35 @@ HuffmanDecoder::HuffmanDecoder(const HuffmanSpec& spec) : symbols_(spec.symbols)
     }
     val_ptr_[static_cast<std::size_t>(l)] = static_cast<std::int32_t>(k);
     min_code_[static_cast<std::size_t>(l)] = cc.codes[k];
-    k += spec.counts[static_cast<std::size_t>(l)];
+    k += counts[static_cast<std::size_t>(l)];
     max_code_[static_cast<std::size_t>(l)] = cc.codes[k - 1];
   }
 
-  // Peek table: every W-bit window whose prefix is a code of length l <= W
-  // maps to {symbol, l}; the 2^(W-l) extensions of each code share one
-  // entry. Windows left at len == 0 (longer codes, invalid prefixes) take
-  // the bit-by-bit fallback.
+  // Fast table: every W-bit window whose prefix is a code of length l <= W
+  // gets {symbol, l}; the 2^(W-l) extensions of each code share it. When
+  // the symbol's magnitude bits also fit (l + size <= W), each extension
+  // carries its own decoded value. Windows left at 0 (longer codes, invalid
+  // prefixes) take decode_long.
   lut_bits_ = entropy_lut_bits();
-  if (lut_bits_ > 0) {
-    lut_.assign(std::size_t{1} << lut_bits_, LutEntry{});
-    std::size_t idx = 0;
-    for (int l = 1; l <= 16; ++l) {
-      for (int i = 0; i < spec.counts[static_cast<std::size_t>(l)]; ++i, ++idx) {
-        if (l > lut_bits_) continue;
-        const std::uint32_t base = static_cast<std::uint32_t>(cc.codes[idx])
-                                   << (lut_bits_ - l);
-        const std::uint32_t span = 1u << (lut_bits_ - l);
-        for (std::uint32_t w = 0; w < span; ++w) {
-          lut_[base + w].sym = spec.symbols[idx];
-          lut_[base + w].len = static_cast<std::uint8_t>(l);
-        }
+  if (lut_bits_ == 0) return;
+  const int w = lut_bits_;
+  fast_.assign(std::size_t{1} << w, 0u);
+  for (std::size_t idx = 0; idx < cc.sizes.size(); ++idx) {
+    const int l = cc.sizes[idx];
+    if (l > w) break;  // sizes ascend
+    const std::uint32_t sym = symbols_[idx];
+    const int size = static_cast<int>(sym & 15u);
+    const std::uint32_t base = static_cast<std::uint32_t>(cc.codes[idx]) << (w - l);
+    const std::uint32_t span = 1u << (w - l);
+    for (std::uint32_t ext = 0; ext < span; ++ext) {
+      std::uint32_t e = (sym << 8) | static_cast<std::uint32_t>(l);
+      if (l + size <= w) {
+        const int value =
+            size == 0 ? 0 : extend_magnitude(ext >> (w - l - size), size);
+        e = (static_cast<std::uint32_t>(value) << 16) | (sym << 8) | kValue |
+            (size == 0 ? kNoSize : 0u) | static_cast<std::uint32_t>(l + size);
       }
+      fast_[base + ext] = e;
     }
   }
 }

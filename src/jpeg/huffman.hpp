@@ -24,6 +24,9 @@ struct HuffmanSpec {
   int symbol_count() const;
   /// Validates the Kraft inequality and symbol bounds; throws on violation.
   void validate() const;
+  /// The Kraft half of validate(), for BITS parsed apart from a spec:
+  /// throws std::invalid_argument when counts[1..16] overfill the code space.
+  static void validate_counts(const std::array<std::uint8_t, 17>& counts);
 
   // Annex K.3 default tables.
   static HuffmanSpec default_dc_luma();
@@ -37,13 +40,13 @@ struct HuffmanSpec {
   static HuffmanSpec build_optimal(const std::array<std::uint32_t, 256>& freq);
 };
 
-/// Width in bits of the peek table HuffmanDecoder builds (0 disables the
-/// lookup table entirely — pure bit-by-bit reference decoding). Resolved
-/// once from the DNJ_ENTROPY_LUT_BITS environment variable (clamped to
-/// [0, 12], default 8); set_entropy_lut_bits overrides it for tests and
-/// benches. The width only affects decode *speed*: decoded output is
-/// bit-identical at every width. Takes effect for decoders constructed
-/// after the call; not safe to call concurrently with decoding.
+/// Width W in bits of the fast table HuffmanDecoder builds (0 disables the
+/// table entirely — pure bit-by-bit reference decoding). Resolved once from
+/// the DNJ_ENTROPY_LUT_BITS environment variable (clamped to [0, 12],
+/// default 10); set_entropy_lut_bits overrides it for tests and benches. The
+/// width only affects decode *speed*: decoded output is bit-identical at
+/// every width. Takes effect for decoders constructed after the call; not
+/// safe to call concurrently with decoding.
 int entropy_lut_bits();
 void set_entropy_lut_bits(int bits);
 
@@ -122,49 +125,84 @@ class HuffmanEncoder {
   std::array<std::uint8_t, 4> zrl_len_{};
 };
 
-/// Decoder-side tables: MINCODE/MAXCODE/VALPTR (T.81 F.2.2.3) plus a
-/// libjpeg-style N-bit peek table resolving every code of <= N bits in one
-/// lookup; longer codes, markers and truncation fall back to the bit-by-bit
-/// reference walk.
+/// T.81 F.2.2.1 EXTEND: the coefficient a `size`-bit magnitude field `v`
+/// encodes, size in [1, 15]; a field whose top bit is 0 is negative. Without
+/// a branch on the sign, as libjpeg-turbo's HUFF_EXTEND, in unsigned
+/// arithmetic: coefficient signs are noise-like, so a branch mispredicts.
+inline int extend_magnitude(std::uint32_t v, int size) {
+  const std::uint32_t neg = (v - (1u << (size - 1))) >> 31;  // 1 when the top bit is 0
+  return static_cast<int>(v) - static_cast<int>((neg << size) - neg);
+}
+
+/// Decoder-side tables: MINCODE/MAXCODE/VALPTR (T.81 F.2.2.3) for the
+/// bit-by-bit reference walk and, at a nonzero width W = entropy_lut_bits(),
+/// a 2^W-entry fast table indexed by the next W bits of the scan.
+///
+/// A fast-table entry is one uint32:
+///  * bits 0-4: how many bits the entry resolves — the code length, or code
+///    plus magnitude when kValue is set; 0 when no code of <= W bits
+///    prefixes the window (a longer code, or no code at all);
+///  * kValue: the symbol's magnitude bits fit in the window too, and bits
+///    16-31 hold the sign-extended coefficient (or DC difference) as int16,
+///    so one lookup yields run, size and value;
+///  * kNoSize: the symbol's size nibble is 0 — DC difference 0, EOB, ZRL,
+///    or an AC symbol no valid stream contains. Always set with kValue;
+///  * bits 8-15: the symbol; bits 12-15 are its run.
+/// Symbols are read as AC run/size bytes; a DC symbol is valid only when
+/// its run nibble is 0, and then its size is the DC category.
 class HuffmanDecoder {
  public:
   explicit HuffmanDecoder(const HuffmanSpec& spec);
+  /// The same table from BITS and HUFFVAL as parsed: `symbols` holds the
+  /// sum of counts[1..16] values, at most 256. Throws std::invalid_argument
+  /// on a Kraft violation or more than 256 symbols.
+  HuffmanDecoder(const std::array<std::uint8_t, 17>& counts, const std::uint8_t* symbols);
 
   /// Reads one symbol bit by bit; returns -1 on truncated/invalid stream.
   /// This is the reference path (and the only path when lut_bits() == 0).
   int decode(BitReader& br) const;
 
-  /// Reads one symbol through the peek table when possible. Same result
-  /// and same consumed bits as decode() for every stream, including
-  /// corrupt ones. Inline: one call per entropy-decoded symbol.
-  int decode_fast(BitReader& br) const {
-    if (lut_bits_ > 0) {
-      const int avail = br.ensure(lut_bits_);
-      const LutEntry e = lut_[br.peek(lut_bits_)];
-      // Entry valid only when its code fits the *real* buffered bits —
-      // zero padding near end-of-scan must not fabricate a short code.
-      if (e.len != 0 && e.len <= avail) {
-        br.consume(e.len);
-        return e.sym;
-      }
-    }
-    return decode(br);
+  static constexpr std::uint32_t kLenMask = 0x1F;
+  static constexpr std::uint32_t kValue = 0x20;
+  static constexpr std::uint32_t kNoSize = 0x40;
+  /// The fields of a fast-table entry (see the class comment).
+  static int entry_bits(std::uint32_t e) { return static_cast<int>(e & kLenMask); }
+  static int entry_symbol(std::uint32_t e) { return static_cast<int>((e >> 8) & 0xFFu); }
+  static int entry_run(std::uint32_t e) { return static_cast<int>((e >> 12) & 15u); }
+  static std::int16_t entry_value(std::uint32_t e) { return static_cast<std::int16_t>(e >> 16); }
+
+  /// The fast-table entry for a BitReader::window(). Requires lut_bits() > 0.
+  std::uint32_t lookup(std::uint64_t window) const {
+    return fast_[static_cast<std::size_t>(window >> (64 - lut_bits_))];
   }
 
-  /// Peek-table width this decoder was built with.
+  /// Resolves a code longer than lut_bits() (its window's entry resolves 0
+  /// bits) from a window holding at least 16 real bits, walking MAXCODE on
+  /// the window in registers. Returns the
+  /// symbol and sets `len` to the code length, or returns -1 when no code
+  /// of up to 16 bits matches (the reference walk fails there too).
+  int decode_long(std::uint64_t window, int& len) const {
+    const auto bits16 = static_cast<std::uint32_t>(window >> 48);
+    for (int l = lut_bits_ + 1; l <= 16; ++l) {
+      const auto code = static_cast<std::int32_t>(bits16 >> (16 - l));
+      if (code <= max_code_[static_cast<std::size_t>(l)]) {
+        len = l;
+        return symbols_[static_cast<std::size_t>(val_ptr_[static_cast<std::size_t>(l)] + code -
+                                                 min_code_[static_cast<std::size_t>(l)])];
+      }
+    }
+    return -1;
+  }
+
+  /// Fast-table width this decoder was built with (0: reference walk only).
   int lut_bits() const { return lut_bits_; }
 
  private:
-  struct LutEntry {
-    std::uint8_t sym = 0;
-    std::uint8_t len = 0;  // 0 = no code of <= lut_bits_ bits has this prefix
-  };
-
   std::array<std::int32_t, 17> min_code_{};
   std::array<std::int32_t, 17> max_code_{};  // -1 where no codes of that length
   std::array<std::int32_t, 17> val_ptr_{};
   std::vector<std::uint8_t> symbols_;
-  std::vector<LutEntry> lut_;
+  std::vector<std::uint32_t> fast_;
   int lut_bits_ = 0;
 };
 

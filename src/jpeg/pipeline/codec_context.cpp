@@ -37,32 +37,34 @@ const ReciprocalTable& CodecContext::reciprocal_for(const QuantTable& table, int
 }
 
 const HuffmanDecoder& CodecContext::decoder_for(const HuffmanSpec& spec) {
+  spec.validate();
+  return decoder_for(spec.counts, spec.symbols.data());
+}
+
+const HuffmanDecoder& CodecContext::decoder_for(const std::array<std::uint8_t, 17>& counts,
+                                                const std::uint8_t* symbols) {
   const int lut_bits = entropy_lut_bits();
-  std::uint64_t key = 0xcbf29ce484222325ull;  // FNV-1a
-  const auto mix = [&key](std::uint8_t b) {
-    key ^= b;
-    key *= 0x100000001b3ull;
-  };
-  for (int l = 1; l <= 16; ++l) mix(spec.counts[static_cast<std::size_t>(l)]);
-  for (const std::uint8_t s : spec.symbols) mix(s);
-  mix(static_cast<std::uint8_t>(lut_bits));
-
+  std::size_t n = 0;
+  for (int l = 1; l <= 16; ++l) n += counts[static_cast<std::size_t>(l)];
+  DecoderSlot* victim = &decoders_[0];
   for (DecoderSlot& slot : decoders_) {
-    // Exact spec compare behind the hash: a collision must rebuild, never
-    // hand back the wrong table.
-    if (slot.decoder && slot.key == key && slot.lut_bits == lut_bits &&
-        slot.spec.counts == spec.counts && slot.spec.symbols == spec.symbols)
+    // Exact contents compare: a hit can never hand back another table.
+    if (slot.decoder && slot.lut_bits == lut_bits && slot.counts == counts &&
+        std::equal(symbols, symbols + n, slot.symbols.begin())) {
+      slot.last_use = ++decoder_clock_;
       return *slot.decoder;
+    }
+    if (slot.last_use < victim->last_use) victim = &slot;  // empty slots read 0
   }
-
-  DecoderSlot& slot = decoders_[decoder_next_];
-  decoder_next_ = (decoder_next_ + 1) % decoders_.size();
-  slot.decoder.emplace(spec);  // validates; throws before the slot is keyed
-  slot.key = key;
-  slot.lut_bits = lut_bits;
-  slot.spec = spec;
+  victim->decoder.reset();
+  victim->last_use = 0;
+  victim->decoder.emplace(counts, symbols);  // validates; throws with the slot empty
+  victim->lut_bits = lut_bits;
+  victim->counts = counts;
+  std::copy(symbols, symbols + n, victim->symbols.begin());
+  victim->last_use = ++decoder_clock_;
   ++counters_.huffman_decoder_builds;
-  return *slot.decoder;
+  return *victim->decoder;
 }
 
 CodecContext::QualityTables CodecContext::quality_tables(int quality) {

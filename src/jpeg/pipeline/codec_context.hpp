@@ -14,8 +14,7 @@
 //    besides the returned byte vector. Decode batches through whole-frame
 //    coefficient stores, and colour reconstruction runs row by row through
 //    a small chroma row ring (`decode_rows`), so once warm the returned
-//    Image is its only allocation that grows with the image; header
-//    parsing adds a few small ones of fixed size.
+//    Image is its only allocation.
 //  * the static (Annex K.3) Huffman specs and their derived encoder tables,
 //    built once per context instead of once per image — dataset-level
 //    callers with optimize_huffman off no longer re-derive them per image.
@@ -70,15 +69,21 @@ class CodecContext {
   };
   QualityTables quality_tables(int quality);
 
-  /// Decoder-side Huffman tables (MINCODE/MAXCODE plus the peek LUT), cached
-  /// by table contents and current LUT width. A warm context decoding a
-  /// same-table stream (the serving steady state) skips both the canonical
-  /// code derivation and the 2^W-entry LUT fill on every image. Sixteen
-  /// slots with round-robin replacement: one scan can hold up to eight live
-  /// tables (4 DC + 4 AC) and redefinitions mid-stream never evict an entry
-  /// the current parse still points at. Returned references stay valid
-  /// until at least fifteen further distinct tables are requested.
+  /// Decoder-side Huffman tables (MINCODE/MAXCODE plus the fast table),
+  /// cached by table contents and current fast-table width. A warm context
+  /// decoding a same-table stream (the serving steady state) skips both the
+  /// canonical code derivation and the 2^W-entry table fill on every image.
+  /// Sixteen slots, least recently used replaced first, so a returned
+  /// decoder stays valid until sixteen other tables have been requested
+  /// after it. The decoder asks for a scan's tables (at most eight: 4 DC +
+  /// 4 AC) together once its headers are parsed, and for none while it
+  /// decodes, so every table a parse holds outlives the parse — however
+  /// many DHT segments the stream has.
   const HuffmanDecoder& decoder_for(const HuffmanSpec& spec);
+  /// Same, for BITS and HUFFVAL as parsed (see HuffmanDecoder's matching
+  /// constructor); allocates nothing on a hit.
+  const HuffmanDecoder& decoder_for(const std::array<std::uint8_t, 17>& counts,
+                                    const std::uint8_t* symbols);
 
   /// How often the lazily-cached state above was actually (re)built. A warm
   /// context encoding a same-config stream sits at one build each; every
@@ -116,13 +121,14 @@ class CodecContext {
   };
   std::array<RecipSlot, 2> recips_;
   struct DecoderSlot {
-    std::uint64_t key = 0;  // FNV-1a over counts + symbols + LUT width
     int lut_bits = -1;
-    HuffmanSpec spec;
+    std::array<std::uint8_t, 17> counts{};
+    std::array<std::uint8_t, 256> symbols{};
+    std::uint64_t last_use = 0;  // decoder_clock_ at the latest request; 0 = empty
     std::optional<HuffmanDecoder> decoder;
   };
   std::array<DecoderSlot, 16> decoders_;
-  std::size_t decoder_next_ = 0;  // round-robin replacement cursor
+  std::uint64_t decoder_clock_ = 0;
   int cached_quality_ = -1;
   QuantTable quality_luma_, quality_chroma_;
   ReuseCounters counters_;

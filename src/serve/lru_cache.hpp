@@ -11,10 +11,9 @@
 // budgets: a cache-wide `max_bytes` ceiling and a per-tenant
 // `tenant_quota_bytes` cap. The quota is the multi-tenant fairness story —
 // a tenant that floods the cache evicts its OWN least-recently-used
-// entries once over quota, never everyone else's. Callers opt in per entry
-// by using the put() overload that carries a byte size and a tenant id;
-// the two-argument put() records zero bytes and the default tenant, which
-// keeps byte-blind entries out of both byte budgets.
+// entries once over quota, never everyone else's. Every put() carries a
+// byte size and a tenant id; an entry recorded at zero bytes stays out of
+// both byte budgets.
 #pragma once
 
 #include <cstddef>
@@ -59,9 +58,6 @@ class LruCache {
     ++hits_;
     return true;
   }
-
-  /// Byte-blind insert: zero recorded size, default tenant (id 0).
-  void put(const Key& key, Value value) { put(key, std::move(value), 0, 0); }
 
   /// Inserts (or refreshes) an entry of `bytes` size owned by `tenant`,
   /// evicting as needed: first the owning tenant's own LRU entries while it

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -61,7 +62,9 @@ LatencySummary summarize(const stats::Histogram& h, double exact_max_us) {
 /// timestamp).
 struct TranscodeService::Job {
   Request req;
-  std::promise<Response> promise;
+  /// Engaged only by submit(Request): a default-constructed std::promise
+  /// allocates its shared state, which a callback request never reads.
+  std::optional<std::promise<Response>> promise;
   Callback done;  ///< when set, completion goes here instead of the promise
   CacheKey key;
   bool cacheable = false;
@@ -167,7 +170,7 @@ void TranscodeService::shutdown() {
 std::future<Response> TranscodeService::submit(Request req) {
   Job job;
   job.req = std::move(req);
-  std::future<Response> future = job.promise.get_future();
+  std::future<Response> future = job.promise.emplace().get_future();
   submit_job(std::move(job));
   return future;
 }
@@ -248,8 +251,8 @@ void TranscodeService::fulfill(Job&& job, Response&& resp) {
       job.done(std::move(resp));
     } catch (...) {
     }
-  } else {
-    job.promise.set_value(std::move(resp));
+  } else if (job.promise) {  // empty only for a callback submit given no callback
+    job.promise->set_value(std::move(resp));
   }
 }
 

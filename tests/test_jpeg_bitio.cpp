@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 #include "jpeg/bitio.hpp"
@@ -146,6 +147,86 @@ TEST(BitReader, EndOfDataReturnsMinusOne) {
   EXPECT_EQ(br.get_bit(), 1);
   EXPECT_EQ(br.get_bits(8), -1);
 }
+
+// The bits a reader must deliver from `d`: data bytes unstuffed (FF 00 ->
+// FF), fill bytes (FF FF) skipped, up to the first marker or a lone
+// trailing FF.
+std::vector<int> model_scan_bits(const std::vector<std::uint8_t>& d) {
+  std::vector<int> bits;
+  const auto push = [&bits](int b) {
+    for (int i = 7; i >= 0; --i) bits.push_back((b >> i) & 1);
+  };
+  std::size_t p = 0;
+  while (p < d.size()) {
+    if (d[p] != 0xFF) {
+      push(d[p++]);
+    } else if (p + 1 >= d.size()) {
+      break;
+    } else if (d[p + 1] == 0x00) {
+      push(0xFF);
+      p += 2;
+    } else if (d[p + 1] == 0xFF) {
+      ++p;
+    } else {
+      break;  // marker
+    }
+  }
+  return bits;
+}
+
+class BitReaderModel : public ::testing::TestWithParam<std::uint64_t> {};
+
+// Random scans dense in stuffed bytes, fill bytes and markers, read in
+// random widths: every read matches a byte-at-a-time model, whichever
+// refill (8-byte load or byte walk) supplied the bits.
+TEST_P(BitReaderModel, MatchesByteWalkModel) {
+  std::mt19937_64 rng(GetParam());
+  for (int round = 0; round < 200; ++round) {
+    std::vector<std::uint8_t> d;
+    const std::size_t len = static_cast<std::size_t>(rng() % (round % 4 == 0 ? 12 : 160));
+    while (d.size() < len) {
+      const unsigned pick = static_cast<unsigned>(rng() % 64);
+      if (pick < 6) {
+        d.insert(d.end(), {0xFF, 0x00});
+      } else if (pick < 8) {
+        d.insert(d.end(), {0xFF, 0xFF});
+      } else if (pick == 8 && rng() % 8 == 0) {
+        d.insert(d.end(), {0xFF, static_cast<std::uint8_t>(rng() % 2 ? kEOI : 0xD0 + rng() % 8)});
+      } else {
+        d.push_back(static_cast<std::uint8_t>(rng() % 255));  // never a lone 0xFF here
+      }
+    }
+    if (rng() % 8 == 0) d.push_back(0xFF);  // trailing lone 0xFF
+    const std::vector<int> want = model_scan_bits(d);
+    BitReader br(d.data(), d.size());
+    std::size_t at = 0;  // bits consumed so far
+    for (int read = 0; read < 400; ++read) {
+      const int count = static_cast<int>(rng() % 32) + 1;
+      if (read % 3 == 0 && br.buffered_bits() < 32) {
+        // The lookahead window the block decoder reads.
+        const int buffered = br.fill();
+        const int n = std::min(buffered, 32);
+        ASSERT_LE(at + static_cast<std::size_t>(buffered), want.size());
+        std::uint32_t expect = 0;
+        for (int i = 0; i < n; ++i) expect = (expect << 1) | static_cast<std::uint32_t>(want[at + i]);
+        if (n > 0) {
+          ASSERT_EQ(static_cast<std::uint32_t>(br.window() >> (64 - n)), expect);
+        }
+      }
+      const std::int32_t got = br.get_bits(count);
+      if (at + static_cast<std::size_t>(count) > want.size()) {
+        ASSERT_EQ(got, -1) << "round " << round << " read " << read;
+        continue;
+      }
+      std::uint32_t expect = 0;
+      for (int i = 0; i < count; ++i) expect = (expect << 1) | static_cast<std::uint32_t>(want[at + i]);
+      ASSERT_EQ(static_cast<std::uint32_t>(got), expect) << "round " << round << " read " << read;
+      at += static_cast<std::size_t>(count);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BitReaderModel, ::testing::Range<std::uint64_t>(1, 9));
 
 TEST(Markers, Predicates) {
   EXPECT_TRUE(is_rst(0xD0));

@@ -1,10 +1,14 @@
-// Entropy-stage contract tests for the fast paths added with the LUT
-// decoder and the restart-parallel scan decode:
+// Entropy-stage contract tests for the fast paths of the Huffman decoder
+// and the restart-parallel scan decode:
 //
-//  * LUT equivalence — the peek-table Huffman decoder must produce
+//  * LUT equivalence — the fast-table Huffman decoder must produce
 //    bit-identical coefficient planes and pixels at EVERY table width
 //    (including 0 = bit-by-bit reference) across subsampling modes, 16-bit
 //    DQT, optimized Huffman tables, restart intervals and odd sizes.
+//  * Decoder-table cache — a warm context decodes every stream exactly as
+//    a fresh one, however its tables cycle through the cache.
+//  * Differential mutation — seeded corruptions of encoder outputs decode
+//    to the same planes and pixels at every width, or fail at every width.
 //  * Restart-parallel determinism — decoding a restart-interval stream at
 //    any thread count yields byte-identical planes and pixels.
 //  * Corrupt-stream hardening — invalid codes, all-ones bit runs,
@@ -17,6 +21,7 @@
 //    BitWriter bit for bit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <random>
 #include <stdexcept>
@@ -27,6 +32,7 @@
 #include "jpeg/block_coder.hpp"
 #include "jpeg/codec.hpp"
 #include "jpeg/pipeline/codec_context.hpp"
+#include "jpeg/zigzag.hpp"
 
 namespace dnj::jpeg {
 namespace {
@@ -365,6 +371,354 @@ TEST(EntropyRobustness, ApiSurfacesTypedDecodeError) {
   const std::size_t rst = first_rst(bad_rst, scan_begin(bad_rst));
   bad_rst[rst + 1] = static_cast<std::uint8_t>(0xD0 + ((bad_rst[rst + 1] - 0xD0 + 5) % 8));
   EXPECT_EQ(codec.decode(bad_rst).status().code(), api::StatusCode::kDecodeError);
+}
+
+// ---------------------------------------------------------------------------
+// Fast path against the reference walk, block by block
+// ---------------------------------------------------------------------------
+
+// Decodes blocks from `bytes` until one fails; returns the coefficients of
+// every block that decoded, then the failing block's index as a marker.
+std::vector<std::int16_t> decode_blocks_until_failure(const std::vector<std::uint8_t>& bytes,
+                                                      const HuffmanSpec& dc,
+                                                      const HuffmanSpec& ac, int blocks) {
+  const HuffmanDecoder dc_dec(dc), ac_dec(ac);
+  BitReader br(bytes.data(), bytes.size());
+  std::vector<std::int16_t> out;
+  int dc_pred = 0;
+  for (int b = 0; b < blocks; ++b) {
+    std::int16_t blk[64];
+    if (!decode_block(br, blk, dc_pred, dc_dec, ac_dec)) {
+      out.push_back(static_cast<std::int16_t>(-1 - b));
+      break;
+    }
+    out.insert(out.end(), blk, blk + 64);
+  }
+  return out;
+}
+
+TEST(EntropyFastPath, EveryTruncationDecodesLikeTheReferenceWalk) {
+  // Long codes and wide magnitudes at the end of the data: DC differences
+  // of category 11 (9-bit code), AC magnitudes of category 10, ZRL runs.
+  LutWidthGuard guard;
+  const HuffmanSpec dc = HuffmanSpec::default_dc_luma(), ac = HuffmanSpec::default_ac_luma();
+  const HuffmanEncoder dc_enc(dc), ac_enc(ac);
+  std::vector<std::uint8_t> bytes;
+  BitWriter bw(bytes);
+  int pred = 0;
+  constexpr int kBlocks = 12;
+  for (int b = 0; b < kBlocks; ++b) {
+    QuantizedBlock blk{};
+    blk[0] = static_cast<std::int16_t>(b % 2 ? 600 + b : -600 - b);
+    blk[static_cast<std::size_t>(kZigzag[1 + b % 5])] = static_cast<std::int16_t>(b % 3 ? 1023 : -1);
+    blk[static_cast<std::size_t>(kZigzag[40 + b % 20])] = static_cast<std::int16_t>(-700 + b);
+    encode_block(bw, blk, pred, dc_enc, ac_enc);
+  }
+  bw.flush();
+  for (std::size_t len = 0; len <= bytes.size(); ++len) {
+    const std::vector<std::uint8_t> prefix(bytes.begin(), bytes.begin() + static_cast<long>(len));
+    set_entropy_lut_bits(0);
+    const std::vector<std::int16_t> want = decode_blocks_until_failure(prefix, dc, ac, kBlocks);
+    for (const int width : {1, 5, 10, 12}) {
+      set_entropy_lut_bits(width);
+      EXPECT_EQ(decode_blocks_until_failure(prefix, dc, ac, kBlocks), want)
+          << "length " << len << " lut_bits=" << width;
+    }
+  }
+}
+
+// A random prefix code over `n` distinct symbols drawn from `pool`: leaves
+// of a binary tree grown by splitting random leaves, so every bit pattern
+// decodes when `complete`; otherwise the last leaf is dropped.
+HuffmanSpec random_spec(std::mt19937_64& rng, std::vector<std::uint8_t> pool, int n,
+                        bool complete) {
+  std::vector<int> lengths = {0};
+  while (static_cast<int>(lengths.size()) < n) {
+    const std::size_t leaf = static_cast<std::size_t>(rng() % lengths.size());
+    if (lengths[leaf] == 16) continue;
+    ++lengths[leaf];
+    lengths.push_back(lengths[leaf]);
+  }
+  if (!complete && lengths.size() > 1) lengths.pop_back();
+  std::shuffle(pool.begin(), pool.end(), rng);
+  HuffmanSpec spec;
+  for (const int l : lengths) ++spec.counts[static_cast<std::size_t>(l)];
+  spec.symbols.assign(pool.begin(), pool.begin() + static_cast<long>(lengths.size()));
+  return spec;
+}
+
+TEST(EntropyFastPath, RandomTablesAndBitsDecodeLikeTheReferenceWalk) {
+  // DC categories 12-15, sizes 11-15 and invalid run/size bytes as DC or
+  // AC symbols, at any code length, over random data with stuffed bytes:
+  // every width must match the reference walk block for block.
+  LutWidthGuard guard;
+  // DC: every category 0-15 and three run/size bytes no DC symbol may be.
+  std::vector<std::uint8_t> dc_pool = {0x10, 0x20, 0xF0};
+  for (int v = 0; v < 16; ++v) dc_pool.push_back(static_cast<std::uint8_t>(v));
+  // AC: short runs of every size, so blocks often reach their EOB, plus
+  // ZRL, long runs and three run/size bytes no AC symbol may be.
+  std::vector<std::uint8_t> ac_pool = {0xF0, 0x10, 0x50, 0xE0, 0x91, 0xA5, 0xFF};
+  for (int v = 1; v < 0x40; ++v)
+    if (v & 15) ac_pool.push_back(static_cast<std::uint8_t>(v));
+  std::mt19937_64 rng(77);
+  int blocks_decoded = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    const bool complete = trial % 4 != 3;
+    const HuffmanSpec dc =
+        random_spec(rng, dc_pool, 2 + static_cast<int>(rng() % (dc_pool.size() - 1)), complete);
+    HuffmanSpec ac = random_spec(rng, ac_pool, 2 + static_cast<int>(rng() % (ac_pool.size() - 1)),
+                                 complete);
+    ac.symbols[rng() % ac.symbols.size()] = 0x00;  // an EOB, at a random code length
+    std::vector<std::uint8_t> bytes;
+    const std::size_t len = 8 + static_cast<std::size_t>(rng() % 600);
+    while (bytes.size() < len) {
+      const auto b = static_cast<std::uint8_t>(rng());
+      bytes.push_back(b);
+      if (b == 0xFF) bytes.push_back(0x00);
+    }
+    set_entropy_lut_bits(0);
+    const std::vector<std::int16_t> want = decode_blocks_until_failure(bytes, dc, ac, 6);
+    for (const int width : {1, 4, 8, 10, 12}) {
+      set_entropy_lut_bits(width);
+      ASSERT_EQ(decode_blocks_until_failure(bytes, dc, ac, 6), want)
+          << "trial " << trial << " lut_bits=" << width;
+    }
+    blocks_decoded += static_cast<int>(want.size() / 64);
+  }
+  EXPECT_GT(blocks_decoded, 500);  // not only first-symbol failures
+}
+
+TEST(EntropyFastPath, InvalidDcSymbolsFailAtEveryWidth) {
+  // A DC table whose symbols include run/size bytes no DC category has,
+  // at code lengths inside and beyond every fast-table width.
+  LutWidthGuard guard;
+  HuffmanSpec dc;
+  dc.counts[2] = 3;  // 00, 01, 10
+  dc.counts[9] = 3;  // 110000000, 110000001, 110000010
+  dc.symbols = {0x00, 0x20, 0x1F, 0x10, 0xF0, 0x13};
+  const HuffmanSpec ac = HuffmanSpec::default_ac_luma();
+  const HuffmanEncoder dc_enc(dc), ac_enc(ac);
+  for (std::size_t k = 1; k < dc.symbols.size(); ++k) {
+    std::vector<std::uint8_t> bytes;
+    BitWriter bw(bytes);
+    dc_enc.encode(bw, dc.symbols[k]);
+    // Zeros decode as AC symbol 0x01 (code 00) with magnitude 0, so a
+    // decoder that accepted the DC symbol, whatever it then read as its
+    // magnitude, would fill the block and succeed.
+    for (int i = 0; i < 32; ++i) bw.put_bits(0, 8);
+    bw.flush();
+    for (const int width : {0, 1, 5, 8, 10, 12}) {
+      set_entropy_lut_bits(width);
+      EXPECT_EQ(decode_blocks_until_failure(bytes, dc, ac, 1),
+                std::vector<std::int16_t>{-1})
+          << "symbol " << int(dc.symbols[k]) << " lut_bits=" << width;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Decoder-table cache
+// ---------------------------------------------------------------------------
+
+// Distinct valid tables: the Annex K luma DC table with its last symbol
+// replaced by 11 + i.
+HuffmanSpec distinct_dc_spec(int i) {
+  HuffmanSpec spec = HuffmanSpec::default_dc_luma();
+  spec.symbols.back() = static_cast<std::uint8_t>(11 + i);
+  return spec;
+}
+
+TEST(DecoderCache, HitSurvivesTheNextMiss) {
+  LutWidthGuard guard;
+  set_entropy_lut_bits(8);
+  pipeline::CodecContext ctx;
+  for (int i = 0; i < 16; ++i) (void)ctx.decoder_for(distinct_dc_spec(i));
+  const HuffmanDecoder& hit = ctx.decoder_for(distinct_dc_spec(0));
+  const HuffmanDecoder& miss = ctx.decoder_for(distinct_dc_spec(16));
+  EXPECT_NE(&hit, &miss) << "the miss rebuilt the slot the hit handed out";
+  EXPECT_EQ(ctx.reuse_counters().huffman_decoder_builds, 17u);
+  EXPECT_EQ(&ctx.decoder_for(distinct_dc_spec(0)), &hit);
+  EXPECT_EQ(ctx.reuse_counters().huffman_decoder_builds, 17u);
+}
+
+// Byte offset of the SOS marker.
+std::size_t sos_offset(const std::vector<std::uint8_t>& s) {
+  for (std::size_t i = 0; i + 1 < s.size(); ++i)
+    if (s[i] == 0xFF && s[i + 1] == 0xDA) return i;
+  ADD_FAILURE() << "no SOS marker found";
+  return s.size();
+}
+
+// `stream` with one DHT segment inserted before SOS that defines AC table 3
+// `count` times, each time differently. A scan that reads only tables 0
+// and 1 decodes exactly as before.
+std::vector<std::uint8_t> with_dht_redefinitions(std::vector<std::uint8_t> stream, int count) {
+  std::vector<std::uint8_t> seg = {0xFF, 0xC4, 0, 0};
+  for (int i = 0; i < count; ++i) {
+    const HuffmanSpec spec = distinct_dc_spec(40 + i);
+    seg.push_back(0x13);  // class 1 (AC), index 3
+    seg.insert(seg.end(), spec.counts.begin() + 1, spec.counts.end());
+    seg.insert(seg.end(), spec.symbols.begin(), spec.symbols.end());
+  }
+  const std::size_t len = seg.size() - 2;
+  seg[2] = static_cast<std::uint8_t>(len >> 8);
+  seg[3] = static_cast<std::uint8_t>(len & 0xFF);
+  stream.insert(stream.begin() + static_cast<long>(sos_offset(stream)), seg.begin(), seg.end());
+  return stream;
+}
+
+TEST(DecoderCache, WarmContextDecodesLikeFreshOnes) {
+  // A static-table gray stream, then seven with per-image optimized tables:
+  // sixteen tables, so the static luma pair is the oldest in the cache when
+  // a static-table colour stream hits it and then misses on its chroma
+  // tables. After that, a mix that wraps the cache several times: gray and
+  // colour, static and optimized tables, restart intervals, and a stream
+  // that redefines an unused table twenty times.
+  const auto stream = [](int w, int h, int ch, Subsampling sub, bool optimize, int restart,
+                         std::uint64_t seed) {
+    EncoderConfig ec;
+    ec.quality = 25 + static_cast<int>(seed % 70);
+    ec.subsampling = sub;
+    ec.optimize_huffman = optimize;
+    ec.restart_interval = restart;
+    return encode(synth(w, h, ch, seed), ec);
+  };
+  std::vector<std::vector<std::uint8_t>> streams;
+  streams.push_back(stream(32, 32, 1, Subsampling::k444, false, 0, 100));
+  for (int i = 0; i < 7; ++i)
+    streams.push_back(stream(32 + i, 24, 1, Subsampling::k444, true, 0, 101 + i));
+  streams.push_back(stream(61, 61, 3, Subsampling::k420, false, 2, 99));
+  for (int i = 0; i < 12; ++i) {
+    const bool colour = i % 2 == 0;
+    streams.push_back(stream(24 + 3 * i, 16 + 2 * i, colour ? 3 : 1,
+                             i % 4 == 0 ? Subsampling::k420 : Subsampling::k444, i % 3 != 2,
+                             i % 5 == 4 ? 2 : 0, 200 + i));
+  }
+  const std::vector<std::uint8_t> plain = streams[0];
+  streams.push_back(with_dht_redefinitions(plain, 20));
+  streams.push_back(streams[8]);
+
+  pipeline::CodecContext warm;
+  for (std::size_t i = 0; i < streams.size(); ++i) {
+    SCOPED_TRACE("stream " + std::to_string(i));
+    pipeline::CodecContext fresh;
+    const image::Image want = decode(streams[i], fresh, 1);
+    image::Image got;
+    ASSERT_NO_THROW(got = decode(streams[i], warm, 1));
+    EXPECT_EQ(got.data(), want.data());
+  }
+  EXPECT_GT(warm.reuse_counters().huffman_decoder_builds, 32u);  // wrapped twice
+  pipeline::CodecContext fresh;
+  EXPECT_EQ(decode(streams[streams.size() - 2], fresh, 1).data(), decode(plain, fresh, 1).data());
+}
+
+// ---------------------------------------------------------------------------
+// Differential mutation: the fast path against the reference walk
+// ---------------------------------------------------------------------------
+
+// Offsets of each DHT table's 16 BITS counts in `s`.
+std::vector<std::size_t> dht_count_offsets(const std::vector<std::uint8_t>& s) {
+  std::vector<std::size_t> out;
+  for (std::size_t i = 0; i + 3 < s.size() && !(s[i] == 0xFF && s[i + 1] == 0xDA); ++i) {
+    if (s[i] != 0xFF || s[i + 1] != 0xC4) continue;
+    const std::size_t end = i + 2 + ((static_cast<std::size_t>(s[i + 2]) << 8) | s[i + 3]);
+    for (std::size_t p = i + 4; p + 17 <= end && p + 17 <= s.size();) {
+      out.push_back(p + 1);
+      std::size_t n = 0;
+      for (int l = 0; l < 16; ++l) n += s[p + 1 + static_cast<std::size_t>(l)];
+      p += 17 + n;
+    }
+    i = end - 1;
+  }
+  return out;
+}
+
+// One seeded mutation of an encoder output: a bit flip in the scan, a
+// truncation, an inserted FF00 / FFFF / RSTn / EOI, or an edited DHT count.
+std::vector<std::uint8_t> mutate(std::vector<std::uint8_t> s, std::mt19937_64& rng) {
+  const std::size_t begin = scan_begin(s);
+  const std::size_t span = s.size() - 2 - begin;  // scan bytes before EOI
+  const std::size_t at = begin + static_cast<std::size_t>(rng() % span);
+  const auto insert = [&](std::uint8_t a, std::uint8_t b) {
+    s.insert(s.begin() + static_cast<long>(at), {a, b});
+  };
+  switch (rng() % 7) {
+    case 0:
+      s[at] ^= static_cast<std::uint8_t>(1u << (rng() % 8));
+      break;
+    case 1:
+      s.resize(at);
+      if (rng() % 2) s.insert(s.end(), {0xFF, 0xD9});
+      break;
+    case 2:
+      insert(0xFF, 0x00);
+      break;
+    case 3:
+      insert(0xFF, 0xFF);
+      break;
+    case 4:
+      insert(0xFF, static_cast<std::uint8_t>(0xD0 + rng() % 8));
+      break;
+    case 5:
+      insert(0xFF, 0xD9);
+      break;
+    default: {
+      const std::vector<std::size_t> counts = dht_count_offsets(s);
+      const std::size_t table = counts[static_cast<std::size_t>(rng() % counts.size())];
+      std::uint8_t& c = s[table + static_cast<std::size_t>(rng() % 16)];
+      c = static_cast<std::uint8_t>(rng() % 2 ? c + 1 : c - 1);
+      break;
+    }
+  }
+  return s;
+}
+
+TEST(EntropyDifferential, MutantsDecodeAlikeOrFailAlike) {
+  LutWidthGuard guard;
+  std::vector<std::vector<std::uint8_t>> seeds;
+  for (const StreamCase& sc : entropy_stream_cases()) seeds.push_back(sc.stream);
+  {
+    EncoderConfig ec;
+    ec.quality = 60;
+    ec.subsampling = Subsampling::k420;
+    ec.restart_interval = 1;
+    ec.optimize_huffman = true;
+    seeds.push_back(encode(synth(40, 24, 3, 51), ec));
+  }
+  {
+    EncoderConfig ec;
+    ec.quality = 95;
+    ec.optimize_huffman = true;
+    seeds.push_back(encode(synth(32, 32, 1, 52), ec));
+  }
+  std::mt19937_64 rng(20261019);
+  int failed_alike = 0;
+  constexpr int kMutants = 4000;
+  for (int i = 0; i < kMutants; ++i) {
+    const std::size_t seed = static_cast<std::size_t>(i) % seeds.size();
+    const std::vector<std::uint8_t> mutant = mutate(seeds[seed], rng);
+    SCOPED_TRACE("mutant " + std::to_string(i) + " of seed stream " + std::to_string(seed));
+    DecodeSnapshot snap[3];
+    bool threw[3] = {};
+    const int widths[3] = {0, 10, 5};
+    for (int w = 0; w < 3; ++w) {
+      set_entropy_lut_bits(widths[w]);
+      try {
+        snap[w] = snapshot_decode(mutant, 1);
+      } catch (const std::runtime_error&) {
+        threw[w] = true;
+      }
+    }
+    for (int w = 1; w < 3; ++w) {
+      SCOPED_TRACE("lut_bits=" + std::to_string(widths[w]));
+      ASSERT_EQ(threw[w], threw[0]);
+      if (!threw[0]) expect_snapshots_equal(snap[0], snap[w], "mutant");
+    }
+    failed_alike += threw[0];
+  }
+  // Both outcomes are exercised.
+  EXPECT_GT(failed_alike, kMutants / 10);
+  EXPECT_LT(failed_alike, kMutants - kMutants / 20);
 }
 
 // ---------------------------------------------------------------------------

@@ -152,5 +152,16 @@ TEST(HuffmanDecoder, InvalidBitsReturnMinusOne) {
   EXPECT_LT(result, 0);
 }
 
+TEST(ExtendMagnitude, MatchesT81ExtendAtEverySize) {
+  // T.81 F.2.2.1: a size-bit field v below 2^(size-1) encodes
+  // v - 2^size + 1, any other v encodes itself.
+  for (int size = 1; size <= 15; ++size)
+    for (int v = 0; v < (1 << size); ++v) {
+      const int want = v < (1 << (size - 1)) ? v - (1 << size) + 1 : v;
+      ASSERT_EQ(extend_magnitude(static_cast<std::uint32_t>(v), size), want)
+          << "size " << size << " v " << v;
+    }
+}
+
 }  // namespace
 }  // namespace dnj::jpeg

@@ -18,11 +18,11 @@ using Cache = dnj::serve::LruCache<int, std::string>;
 
 TEST(ServeLru, EvictsLeastRecentlyUsedInOrder) {
   Cache cache(2);
-  cache.put(1, "one");
-  cache.put(2, "two");
+  cache.put(1, "one", 0, 0);
+  cache.put(2, "two", 0, 0);
   std::string out;
   ASSERT_TRUE(cache.get(1, &out));  // promote 1; 2 is now LRU
-  cache.put(3, "three");            // evicts 2
+  cache.put(3, "three", 0, 0);      // evicts 2
   EXPECT_FALSE(cache.get(2, &out));
   EXPECT_TRUE(cache.get(1, &out));
   EXPECT_TRUE(cache.get(3, &out));
@@ -33,7 +33,7 @@ TEST(ServeLru, EvictsLeastRecentlyUsedInOrder) {
 TEST(ServeLru, ZeroCapacityDisablesEverything) {
   Cache cache(0);
   EXPECT_FALSE(cache.enabled());
-  cache.put(1, "one");
+  cache.put(1, "one", 0, 0);
   cache.put(1, "one", 100, 7);
   std::string out;
   EXPECT_FALSE(cache.get(1, &out));
@@ -114,11 +114,10 @@ TEST(ServeLru, QuotaLargerThanIncomingValueBlocksAdmission) {
 }
 
 TEST(ServeLru, ByteBlindEntriesIgnoreQuotas) {
-  // The two-argument put records zero bytes: quotas and byte ceilings
-  // must never evict those entries.
+  // Zero-byte entries: quotas and byte ceilings must never evict them.
   Cache cache(16, /*max_bytes=*/10, /*tenant_quota_bytes=*/10);
-  cache.put(1, "blind-a");
-  cache.put(2, "blind-b");
+  cache.put(1, "blind-a", 0, 0);
+  cache.put(2, "blind-b", 0, 0);
   cache.put(3, "sized", 8, 1);
   cache.put(4, "sized2", 8, 1);  // tenant 1 over quota: evicts key 3 only
   std::string out;
@@ -159,7 +158,7 @@ TEST(ServeLru, ConcurrentMixedTrafficStaysConsistent) {
           cache.put(key, "v" + std::to_string(key), 100 + (key % 5) * 50,
                     static_cast<std::uint64_t>(t % 2 + 1));
         else if (i % 3 == 1)
-          cache.put(key, "blind");
+          cache.put(key, "blind", 0, 0);
         else
           cache.get(key, &out);
       }
