@@ -115,8 +115,9 @@ dnj_status_t dnj_options_set_optimize_huffman(dnj_options_t* options, int32_t on
 dnj_status_t dnj_options_set_restart_interval(dnj_options_t* options, int32_t mcus);
 dnj_status_t dnj_options_set_comment(dnj_options_t* options, const char* text);
 
-/* Digest of the canonical options serialization — equal digests mean the
- * same encode computation (the serve layer's cache key). */
+/* FNV-1a 64 of the canonical options serialization — equal digests mean
+ * the same encode computation. Compare digests only for equality: the
+ * value may change between library versions. */
 uint64_t dnj_options_digest(const dnj_options_t* options);
 
 /* ------------------------------------------------------------- session */
@@ -149,10 +150,10 @@ dnj_status_t dnj_transcode(dnj_session_t* session, const uint8_t* bytes, size_t 
 
 /* Opaque multi-tenant table registry: names tenants and maps each to an
  * immutable encoder configuration (base quantization tables + options +
- * an optional result-cache byte quota). Share one registry across servers
- * by passing it to dnj_server_new_with_registry. Thread-safe; updates are
- * versioned, and requests in flight keep the tenant snapshot they
- * resolved at submission. Added in ABI 1.2. */
+ * an optional byte quota, recorded but not enforced). Share one registry
+ * across servers by passing it to dnj_server_new_with_registry.
+ * Thread-safe; updates are versioned, and requests in flight keep the
+ * tenant snapshot they resolved at submission. Added in ABI 1.2. */
 typedef struct dnj_registry_t dnj_registry_t;
 
 dnj_registry_t* dnj_registry_new(void);
@@ -163,9 +164,9 @@ const char* dnj_registry_last_error(const dnj_registry_t* registry);
 
 /* Registers (or replaces) tenant `name` with `options` as its base
  * configuration (NULL = defaults; a registration without custom tables is
- * materialized with the Annex K pair) and `quota_bytes` as its
- * result-cache byte quota (0 = none). *out_version (optional) receives
- * the published registry version. */
+ * materialized with the Annex K pair). `quota_bytes` is recorded and
+ * echoed by dnj_registry_get; nothing enforces it. *out_version
+ * (optional) receives the published registry version. */
 dnj_status_t dnj_registry_put(dnj_registry_t* registry, const char* name,
                               const dnj_options_t* options, size_t quota_bytes,
                               uint64_t* out_version);
@@ -191,8 +192,8 @@ dnj_status_t dnj_registry_encode_options(dnj_registry_t* registry, const char* n
 /* -------------------------------------------------------------- server */
 
 /* Opaque network server: an asynchronous transcode service (worker pool,
- * bounded queue, result cache) fronted by the TCP
- * protocol in docs/PROTOCOL.md. Added in ABI 1.1. */
+ * bounded queue) fronted by the TCP protocol in docs/PROTOCOL.md. Added
+ * in ABI 1.1. */
 typedef struct dnj_server_t dnj_server_t;
 
 /* Creates a stopped server. `workers` <= 0 and `queue_capacity` == 0 pick

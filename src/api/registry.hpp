@@ -2,8 +2,9 @@
 //
 // A Registry names tenants and maps each to an immutable encoder
 // configuration snapshot (base quantization tables + options + an optional
-// result-cache byte quota). Services resolve kDeepnEncode requests that
-// carry a tenant name against their registry; see Service::deepn_encode.
+// byte quota, recorded but not enforced). Services resolve kDeepnEncode
+// requests that carry a tenant name against their registry; see
+// Service::deepn_encode.
 //
 //   Registry registry;
 //   registry.put("mobilenet", design.encode_options());
@@ -44,7 +45,7 @@ struct RegistryAccess;
 struct TenantInfo {
   std::string name;
   std::uint64_t version = 0;     ///< registry-global monotonic publication stamp
-  std::size_t quota_bytes = 0;   ///< result-cache byte quota (0 = none)
+  std::size_t quota_bytes = 0;   ///< recorded byte quota; never enforced
   EncodeOptions options;         ///< normalized base configuration (custom
                                  ///  tables always materialized, quality 50)
 };
@@ -60,11 +61,12 @@ class Registry {
   Registry& operator=(Registry&&) noexcept;
 
   /// Registers (or replaces) tenant `name` with `base` as its encoder
-  /// configuration and `quota_bytes` as its result-cache byte quota
-  /// (0 = none). Normalization: when `base` carries no custom tables the
-  /// Annex K pair is materialized (request quality then scales exactly
-  /// like standard IJG quality), and the stored quality is pinned to 50 so
-  /// two registrations of the same computation share one config digest.
+  /// configuration. `quota_bytes` is recorded and echoed by get(); since
+  /// the result cache was retired nothing enforces it. Normalization: when
+  /// `base` carries no custom tables the Annex K pair is materialized
+  /// (request quality then scales exactly like standard IJG quality), and
+  /// the stored quality is pinned to 50 so two registrations of the same
+  /// computation share one options digest.
   /// Returns the published version.
   Result<std::uint64_t> put(const std::string& name, const EncodeOptions& base,
                             std::size_t quota_bytes = 0);

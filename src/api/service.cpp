@@ -43,7 +43,6 @@ ServiceReply reply_from_response(serve::Response&& r) {
   reply.image.height = r.image.height();
   reply.image.channels = r.image.channels();
   reply.image.pixels = std::move(r.image.data());
-  reply.cache_hit = r.cache_hit;
   reply.batch_size = r.batch_size;
   reply.queue_us = r.queue_us;
   reply.service_us = r.service_us;
@@ -97,9 +96,6 @@ Service::Service(const ServiceOptions& options) {
   cfg.queue_capacity = options.queue_capacity();
   cfg.admission = options.reject_when_full() ? serve::AdmissionPolicy::kReject
                                              : serve::AdmissionPolicy::kBlock;
-  cfg.cache_capacity = options.result_cache();
-  cfg.cache_max_bytes = options.cache_max_bytes();
-  cfg.tenant_quota_bytes = options.tenant_quota_bytes();
   if (options.registry().has_value())
     cfg.registry = detail::RegistryAccess::impl(*options.registry());
   impl_ = std::make_unique<Impl>(std::move(cfg));
@@ -204,9 +200,6 @@ ServiceMetrics Service::metrics() const {
   m.completed = s.completed;
   m.rejected = s.rejected;
   m.errors = s.errors;
-  m.cache_hits = s.cache_hits;
-  m.cache_bytes = s.cache_bytes;
-  m.cache_quota_evictions = s.cache_quota_evictions;
   m.total_p50_us = s.total.p50_us;
   m.total_p95_us = s.total.p95_us;
   m.total_p99_us = s.total.p99_us;
@@ -217,7 +210,6 @@ ServiceMetrics Service::metrics() const {
     tm.requests = t.requests;
     tm.completed = t.completed;
     tm.errors = t.errors;
-    tm.cache_hits = t.cache_hits;
     tm.service_p50_us = t.service_time.p50_us;
     tm.service_p99_us = t.service_time.p99_us;
     m.tenants.push_back(std::move(tm));

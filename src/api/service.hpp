@@ -48,22 +48,11 @@ class ServiceOptions {
     reject_when_full_ = on;
     return *this;
   }
-  /// Result-cache entries (0 disables the result cache).
-  ServiceOptions& result_cache(std::size_t entries) {
-    result_cache_ = entries;
-    return *this;
-  }
-  /// Result-cache byte ceiling across all entries (0 = entry count only).
-  ServiceOptions& cache_max_bytes(std::size_t bytes) {
-    cache_max_bytes_ = bytes;
-    return *this;
-  }
-  /// Per-tenant result-cache byte quota (0 = none): an over-quota tenant
-  /// evicts its own least-recently-used entries, never other tenants'.
-  ServiceOptions& tenant_quota_bytes(std::size_t bytes) {
-    tenant_quota_bytes_ = bytes;
-    return *this;
-  }
+  /// Retired result-cache knobs, kept so existing callers still compile.
+  /// Each is a no-op: every accepted request runs its handler once.
+  ServiceOptions& result_cache(std::size_t) { return *this; }
+  ServiceOptions& cache_max_bytes(std::size_t) { return *this; }
+  ServiceOptions& tenant_quota_bytes(std::size_t) { return *this; }
   /// Retired scheduling knobs, kept so existing callers still compile.
   /// Each is a no-op: the service serves one FIFO queue, one request per
   /// pop, and scales deepn_encode tables per request (docs/ARCHITECTURE.md,
@@ -102,9 +91,6 @@ class ServiceOptions {
   int workers() const { return workers_; }
   std::size_t queue_capacity() const { return queue_capacity_; }
   bool reject_when_full() const { return reject_when_full_; }
-  std::size_t result_cache() const { return result_cache_; }
-  std::size_t cache_max_bytes() const { return cache_max_bytes_; }
-  std::size_t tenant_quota_bytes() const { return tenant_quota_bytes_; }
   const std::optional<Registry>& registry() const { return registry_; }
   int design_workers() const { return design_workers_; }
   std::size_t design_queue() const { return design_queue_; }
@@ -114,9 +100,6 @@ class ServiceOptions {
   int workers_ = 2;
   std::size_t queue_capacity_ = 256;
   bool reject_when_full_ = false;
-  std::size_t result_cache_ = 256;
-  std::size_t cache_max_bytes_ = 0;
-  std::size_t tenant_quota_bytes_ = 0;
   std::optional<Registry> registry_;
   int design_workers_ = 1;
   std::size_t design_queue_ = 8;
@@ -168,7 +151,7 @@ struct ServiceReply {
   Status status;
   std::vector<std::uint8_t> bytes;  ///< encode / transcode result
   DecodedImage image;               ///< decode result
-  bool cache_hit = false;
+  bool cache_hit = false;   ///< always false: the result cache is retired
   int batch_size = 0;       ///< always 1: workers run one request per pop
   double queue_us = 0.0;    ///< submission -> worker pickup
   double service_us = 0.0;  ///< worker pickup -> completion
@@ -204,7 +187,7 @@ struct TenantMetrics {
   std::uint64_t requests = 0;
   std::uint64_t completed = 0;
   std::uint64_t errors = 0;
-  std::uint64_t cache_hits = 0;
+  std::uint64_t cache_hits = 0;  ///< always 0: the result cache is retired
   double service_p50_us = 0.0;
   double service_p99_us = 0.0;
 };
@@ -215,9 +198,10 @@ struct ServiceMetrics {
   std::uint64_t completed = 0;
   std::uint64_t rejected = 0;
   std::uint64_t errors = 0;
+  // Always 0: the result cache is retired.
   std::uint64_t cache_hits = 0;
-  std::uint64_t cache_bytes = 0;            ///< recorded result-cache payload total
-  std::uint64_t cache_quota_evictions = 0;  ///< evictions forced by tenant quotas
+  std::uint64_t cache_bytes = 0;
+  std::uint64_t cache_quota_evictions = 0;
   double total_p50_us = 0.0;
   double total_p95_us = 0.0;
   double total_p99_us = 0.0;

@@ -8,14 +8,15 @@
 #include <cstring>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "api/convert.hpp"
+#include "base/fnv1a.hpp"
 #include "core/deepnjpeg.hpp"
 #include "core/transcode.hpp"
 #include "jobs/job_manager.hpp"
 #include "jpeg/decoder.hpp"
 #include "jpeg/encoder.hpp"
-#include "serve/digest.hpp"
 
 namespace dnj::api {
 
@@ -196,9 +197,12 @@ std::uint32_t api_version() { return (kApiVersionMajor << 16) | kApiVersionMinor
 
 std::uint64_t EncodeOptions::digest() const {
   // The canonical serialization is owned by the codec layer
-  // (jpeg::append_config_bytes); hashing it here is what makes this digest
-  // equal to the serve layer's config digest for the same options.
-  return serve::digest_config(detail::to_config(*this));
+  // (jpeg::append_config_bytes), so a field added there changes this
+  // digest too. Thread-local scratch: no allocation once warm.
+  static thread_local std::vector<std::uint8_t> bytes;
+  bytes.clear();
+  jpeg::append_config_bytes(detail::to_config(*this), bytes);
+  return fnv1a(bytes.data(), bytes.size());
 }
 
 // Session state is deliberately empty today: codec operations bind to the

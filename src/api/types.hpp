@@ -54,8 +54,7 @@ using QuantTableValues = std::array<std::uint16_t, 64>;
 /// EncodeOptions is the one options representation shared by the
 /// synchronous façade, the async Service, and the serving layer:
 /// `digest()` hashes the canonical serialization of the underlying encoder
-/// configuration, so it equals the config digest the serve layer caches
-/// on.
+/// configuration, so equal digests mean the same encode computation.
 class EncodeOptions {
  public:
   /// IJG quality in [1, 100] (validated at the call boundary, not here).
@@ -108,9 +107,9 @@ class EncodeOptions {
   int restart_interval() const { return restart_interval_; }
   const std::string& comment() const { return comment_; }
 
-  /// FNV-1a digest of the canonical serialization of these options —
-  /// byte-for-byte the config digest the serving layer keys its result
-  /// cache on. Equal digests = the same encode computation.
+  /// FNV-1a 64 (src/base/fnv1a.hpp) of the canonical serialization of
+  /// these options (jpeg::append_config_bytes). Equal digests = the same
+  /// encode computation; compare for equality only.
   std::uint64_t digest() const;
 
  private:

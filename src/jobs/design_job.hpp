@@ -83,7 +83,8 @@ struct DesignJobSpec {
   /// here.
   std::vector<std::uint8_t> checkpoint;
 
-  /// Result-cache quota passed through to every registry entry.
+  /// Byte quota recorded on every registry entry it publishes (bookkeeping;
+  /// nothing enforces it).
   std::size_t quota_bytes = 0;
 };
 

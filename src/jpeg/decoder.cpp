@@ -185,7 +185,7 @@ class Parser {
     const int num_segments = (total_mcus + ri - 1) / ri;
 
     struct Segment {
-      std::size_t begin, end;  // byte range within the scan, markers excluded
+      std::size_t begin, end;  // byte range within the scan, markers and fill excluded
     };
     std::vector<Segment> segments;
     segments.reserve(static_cast<std::size_t>(num_segments));
@@ -197,19 +197,21 @@ class Parser {
         ++p;
         continue;
       }
+      // Every 0xFF of a run but the last is a fill byte (T.81 B.1.1.2),
+      // and a data 0xFF is always followed by 0x00, so a segment ends at
+      // the run's first 0xFF.
+      const std::size_t run_begin = p;
+      while (p + 1 < scan_size && scan[p + 1] == 0xFF) ++p;
+      if (p + 1 >= scan_size) fail("missing restart marker");
       const std::uint8_t next = scan[p + 1];
       if (next == 0x00) {  // stuffed data byte
         p += 2;
         continue;
       }
-      if (next == 0xFF) {  // fill byte
-        ++p;
-        continue;
-      }
       if (!is_rst(next)) fail("missing restart marker");
       if (next != kRST0 + static_cast<int>(segments.size() % 8))
         fail("restart marker out of sequence");
-      segments.push_back({seg_begin, p});
+      segments.push_back({seg_begin, run_begin});
       p += 2;
       seg_begin = p;
     }
@@ -458,8 +460,11 @@ class Parser {
     if (num_comps == 0) fail("SOS before SOF");
     const std::uint16_t len = read_u16();
     const int ns = read_u8();
+    // A baseline frame may legally code its components in separate scans;
+    // only a single interleaved scan of every component is decoded here.
     if (ns != static_cast<int>(num_comps))
-      fail("scan component count differs from frame (progressive not supported)");
+      fail("non-interleaved sequential scans are not supported "
+           "(scan codes fewer components than the frame)");
     if (len != 6 + 2 * ns) fail("bad SOS length");
     for (int i = 0; i < ns; ++i) {
       const int cs = read_u8();

@@ -258,7 +258,7 @@ void append_config_bytes(const EncoderConfig& config, std::vector<std::uint8_t>&
   // so no two distinct configs can serialize to the same bytes. When
   // use_custom_tables is false the table contents are not part of the
   // computation (quality selects the Annex K scaling), so they are
-  // deliberately excluded — exactly the aliasing the digests want.
+  // deliberately excluded — exactly the aliasing the digest wants.
   out.reserve(out.size() + 19 + (config.use_custom_tables ? 256 : 0) +
               config.comment.size());
   append_u32(out, static_cast<std::uint32_t>(config.quality));

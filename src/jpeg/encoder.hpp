@@ -81,9 +81,8 @@ std::pair<QuantTable, QuantTable> effective_tables(const EncoderConfig& config);
 /// EncoderConfig field to `out` (fixed-width little-endian fields, custom
 /// tables verbatim when active, length-prefixed comment). This is the
 /// single source of truth for "are two configs the same computation":
-/// the serve layer's config digests and the public API's
-/// EncodeOptions::digest() both hash exactly these bytes, so adding a
-/// field here changes every derived digest at once — and forgetting to
+/// the public API's EncodeOptions::digest() hashes exactly these bytes,
+/// so adding a field here changes the digest at once — and forgetting to
 /// add one is caught by the field-sensitivity test in tests/test_api.cpp.
 void append_config_bytes(const EncoderConfig& config, std::vector<std::uint8_t>& out);
 

@@ -6,8 +6,8 @@
 // The send and receive halves are deliberately separate (send_request /
 // recv_reply) so a caller can pipeline: write a burst of requests, then
 // collect the responses and pair them back up by request id — responses
-// may arrive out of order (parallel workers and cache hits reorder
-// completions; the protocol's request_id exists exactly for this).
+// may arrive out of order (parallel workers reorder completions; the
+// protocol's request_id exists exactly for this).
 // call() is the one-shot convenience for when pipelining doesn't matter.
 //
 // Not thread-safe; one Client per thread (the load generator runs one per

@@ -4,7 +4,7 @@
 #include <cstring>
 
 #include "api/status.hpp"
-#include "serve/digest.hpp"
+#include "base/fnv1a.hpp"
 
 namespace dnj::net {
 
@@ -171,19 +171,6 @@ WireStatus wire_status_from_serve(serve::Status s) {
   return WireStatus::kInternal;
 }
 
-/// The wire digest hash: textbook FNV-1a 64 with the standard offset
-/// basis, NOT serve::fnv1a (whose seed is an internal constant free to
-/// change). A foreign client must be able to reproduce this from the
-/// published parameters alone.
-std::uint64_t wire_fnv1a(const std::uint8_t* data, std::size_t n) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= data[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 Op op_from_kind(serve::RequestKind kind) {
   switch (kind) {
     case serve::RequestKind::kEncode: return Op::kEncode;
@@ -230,7 +217,7 @@ std::uint64_t wire_config_digest(const serve::Request& req) {
     case serve::RequestKind::kInfer:
       return 0;
   }
-  return wire_fnv1a(scratch.data(), scratch.size());
+  return fnv1a(scratch.data(), scratch.size());
 }
 
 Frame make_request(std::uint32_t request_id, const serve::Request& req) {
@@ -322,7 +309,7 @@ WireStatus parse_request(const Frame& frame, serve::Request* out) {
       // means the header and payload disagree about what computation this
       // is — corrupt or miscomposed, either way malformed.
       if (frame.config_digest !=
-          wire_fnv1a(options_begin, static_cast<std::size_t>(c.p - options_begin)))
+          fnv1a(options_begin, static_cast<std::size_t>(c.p - options_begin)))
         return WireStatus::kMalformed;
       if (frame.op == Op::kEncode) {
         if (WireStatus s = parse_image(c, /*must_consume_all=*/true, &req.image);
@@ -347,7 +334,7 @@ WireStatus parse_request(const Frame& frame, serve::Request* out) {
       const std::uint8_t* quality_begin = c.p;
       std::uint32_t quality = 0;
       if (!c.u32(&quality)) return WireStatus::kMalformed;
-      if (frame.config_digest != wire_fnv1a(quality_begin, 4))
+      if (frame.config_digest != fnv1a(quality_begin, 4))
         return WireStatus::kMalformed;
       if (quality < 1 || quality > 100) return WireStatus::kInvalidArgument;
       req.quality = static_cast<int>(quality);
@@ -375,8 +362,9 @@ Frame make_response(std::uint32_t request_id, Op op, std::uint64_t config_digest
   f.request_id = request_id;
   f.config_digest = config_digest;
   // Observability block (24 bytes, fixed): scheduling facts only — the
-  // determinism contract starts at the byte after this block.
-  append_u8(f.payload, resp.cache_hit ? 1 : 0);
+  // determinism contract starts at the byte after this block. Byte 0 was
+  // the retired result cache's hit flag and is always 0.
+  append_u8(f.payload, 0);
   append_u8(f.payload, 0);
   append_u8(f.payload, 0);
   append_u8(f.payload, 0);

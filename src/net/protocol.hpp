@@ -5,8 +5,8 @@
 // The full payload formats live in docs/PROTOCOL.md; in short, request
 // payloads are the op-specific concatenation of three documented blocks
 // (options, image, raw stream), and OK response payloads start with a
-// fixed 24-byte observability block (cache/batch/latency — never part of
-// the determinism contract) followed by the op's result. Error responses
+// fixed 24-byte observability block (batch/latency — never part of the
+// determinism contract) followed by the op's result. Error responses
 // carry a UTF-8 message instead.
 //
 // Everything here is pure data transformation: no sockets, no threads, no
@@ -104,7 +104,7 @@ struct WireReply {
   jobs::JobStatus job_status;       ///< job-status result
   jobs::JobResult job_result;       ///< job-result result
 
-  bool cache_hit = false;
+  bool cache_hit = false;        ///< always false: the result cache is retired
   std::uint32_t batch_size = 0;  ///< always 1; kept so the block stays 24 bytes
   double queue_us = 0.0;
   double service_us = 0.0;

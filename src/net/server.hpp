@@ -35,7 +35,7 @@
 // request complete and flush its response (bounded by drain_timeout_ms),
 // then close. The serving determinism contract extends across the wire:
 // response payloads are byte-identical to synchronous in-process calls
-// (tests/test_net.cpp pins this across worker counts and cache states).
+// (tests/test_net.cpp pins this across worker counts and both pollers).
 #pragma once
 
 #include <atomic>

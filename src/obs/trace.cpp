@@ -4,17 +4,18 @@
 #include <chrono>
 #include <cstdlib>
 
+#include "base/fnv1a.hpp"
+
 namespace dnj::obs {
 
 namespace {
 
-std::uint64_t fnv1a64(std::uint64_t v) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xFF;
-    h *= 1099511628211ull;
-  }
-  return h;
+/// FNV-1a 64 of the id's eight little-endian bytes, whatever the host's
+/// byte order.
+std::uint64_t hash_id(std::uint64_t v) {
+  unsigned char bytes[8];
+  for (int i = 0; i < 8; ++i) bytes[i] = static_cast<unsigned char>(v >> (8 * i));
+  return fnv1a(bytes, sizeof bytes);
 }
 
 std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
@@ -85,7 +86,7 @@ std::uint64_t Tracer::start_trace() {
   // Trace ids are never 0 — 0 is the "unsampled" sentinel everywhere.
   const std::uint64_t id = next_trace_.fetch_add(1, std::memory_order_relaxed) + 1;
   if (n == 1) return id;
-  return (fnv1a64(id) % n == 0) ? id : 0;
+  return (hash_id(id) % n == 0) ? id : 0;
 }
 
 Tracer::Ring& Tracer::thread_ring() {

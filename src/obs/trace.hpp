@@ -36,7 +36,7 @@ enum class Stage : std::uint8_t {
   kNetWrite,           // response serialization hand-off to the socket
   kQueueWait,          // enqueue -> picked up by a worker
   kBatch,              // worker-side execution of one request
-  kCacheProbe,         // result-cache digest + lookup
+  kCacheProbe,         // retired with the result cache: no span records it
   kEncodeTile,         // color convert (+ 4:2:0 downsample) + tile (tag = blocks)
   kEncodeDct,          // forward DCT batch (tag = blocks)
   kEncodeQuant,        // natural-order quantize batch (tag = blocks)

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "serve/digest.hpp"
-
 namespace dnj::serve {
 
 std::uint64_t TableRegistry::put(const std::string& name, jpeg::EncoderConfig base,
@@ -15,13 +13,12 @@ std::uint64_t TableRegistry::put(const std::string& name, jpeg::EncoderConfig ba
     base.chroma_table = jpeg::QuantTable::annex_k_chroma();
   }
   // Quality does not participate in a custom-table encode; normalizing it
-  // makes "same tables, different leftover quality" one digest, not many.
+  // makes "same tables, different leftover quality" one set of options.
   base.quality = 50;
 
   auto entry = std::make_shared<TenantEntry>();
   entry->name = name;
   entry->base = std::move(base);
-  entry->base_digest = digest_config(entry->base);
   entry->quota_bytes = quota_bytes;
 
   std::lock_guard<std::mutex> lock(mutex_);

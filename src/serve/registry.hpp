@@ -13,11 +13,8 @@
 // monotonic counter, and find() hands that shared_ptr out. An in-flight
 // request pins the snapshot it resolved at submission — a concurrent
 // re-registration can never mutate tables under a request half-way through
-// an encode, and two responses from one submission batch can never mix
-// table generations. The version number is observability (which generation
-// served this?), deliberately NOT part of the config digest: digests key on
-// *content*, so re-registering identical tables keeps the config digest
-// and two tenants with identical configs share it.
+// an encode. The version number is observability: which generation served
+// this?
 #pragma once
 
 #include <cstddef>
@@ -42,16 +39,12 @@ struct TenantEntry {
   /// materialized: a registration without custom tables gets the Annex K
   /// pair (so request quality then behaves exactly like standard IJG
   /// quality), and `quality` is normalized to 50 — it plays no part in a
-  /// custom-table encode, and normalizing it lets two registrations of the
-  /// same computation share one config digest.
+  /// custom-table encode, and normalizing it gives two registrations of the
+  /// same computation equal options (and equal options digests).
   jpeg::EncoderConfig base;
 
-  /// digest_config(base): the content key a tenant's kDeepnEncode config
-  /// digest (and so its result-cache key) derives from.
-  std::uint64_t base_digest = 0;
-
-  /// Result-cache byte budget for this tenant (0 = no per-tenant cap; the
-  /// cache-wide limits still apply). Enforced by serve::LruCache.
+  /// Byte quota recorded for operators and echoed by lookups. Bookkeeping
+  /// only: nothing in the library enforces it.
   std::size_t quota_bytes = 0;
 };
 

@@ -7,9 +7,8 @@
 //
 // The serving determinism contract: a Response's payload (bytes, image
 // pixels, probs) is bit-identical to the equivalent synchronous
-// single-threaded call, regardless of worker count, cache hits, or
-// arrival order. Only the observability fields (cache_hit, latencies)
-// depend on scheduling.
+// single-threaded call, regardless of worker count or arrival order. Only
+// the observability fields (latencies) depend on scheduling.
 #pragma once
 
 #include <cstdint>
@@ -73,7 +72,6 @@ struct Response {
   std::vector<float> probs;         ///< kInfer
 
   // Observability — never part of the determinism contract.
-  bool cache_hit = false;
   int batch_size = 0;       ///< always 1: workers run one request per pop
   double queue_us = 0.0;    ///< submission -> worker pickup
   double service_us = 0.0;  ///< worker pickup -> completion

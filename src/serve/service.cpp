@@ -58,21 +58,17 @@ LatencySummary summarize(const stats::Histogram& h, double exact_max_us) {
 
 /// One queued request: the request itself, its completion (a promise OR a
 /// callback — never both), and everything the worker needs without
-/// re-deriving it (cache key, pinned tenant snapshot, submission
-/// timestamp).
+/// re-deriving it (pinned tenant snapshot, submission timestamp).
 struct TranscodeService::Job {
   Request req;
   /// Engaged only by submit(Request): a default-constructed std::promise
   /// allocates its shared state, which a callback request never reads.
   std::optional<std::promise<Response>> promise;
   Callback done;  ///< when set, completion goes here instead of the promise
-  CacheKey key;
-  bool cacheable = false;
   /// Pinned at submission: the tenant configuration this request will run
   /// under, whatever the registry does meanwhile. Null for tenantless
   /// requests.
   std::shared_ptr<const TenantEntry> tenant;
-  std::uint64_t tenant_hash = 0;  ///< fnv1a(tenant name); 0 = tenantless
   Clock::time_point enqueue;
 
   // Observability only — which trace this job records spans into (0 =
@@ -95,7 +91,6 @@ struct TranscodeService::WorkerStats {
     std::uint64_t requests = 0;
     std::uint64_t completed = 0;
     std::uint64_t errors = 0;
-    std::uint64_t cache_hits = 0;
     ReuseCounters ctx;
     stats::Histogram service_time = make_tenant_latency_histogram();
     double service_max_us = 0.0;
@@ -110,16 +105,12 @@ struct TranscodeService::WorkerStats {
   double total_max_us = 0.0;
   std::uint64_t completed = 0;
   std::uint64_t errors = 0;
-  std::uint64_t cache_hits = 0;
   std::uint64_t per_kind[kNumRequestKinds] = {0, 0, 0, 0, 0};
   ReuseCounters ctx;
   std::map<std::string, TenantCounters> tenants;
 };
 
-TranscodeService::TranscodeService(ServiceConfig config)
-    : config_(std::move(config)),
-      result_cache_(config_.cache_capacity, config_.cache_max_bytes,
-                    config_.tenant_quota_bytes) {
+TranscodeService::TranscodeService(ServiceConfig config) : config_(std::move(config)) {
   config_.workers = std::max(1, config_.workers);
   config_.queue_capacity = std::max<std::size_t>(1, config_.queue_capacity);
   if (!config_.registry) config_.registry = std::make_shared<TableRegistry>();
@@ -131,8 +122,6 @@ TranscodeService::TranscodeService(ServiceConfig config)
   refused_shutdown_ =
       &config_.metrics->counter("serve_requests_refused_shutdown_total");
   submit_errors_ = &config_.metrics->counter("serve_submit_errors_total");
-  deepn_tables_digest_ =
-      digest_table(config_.deepn_chroma, digest_table(config_.deepn_luma));
 
   queue_ = std::make_unique<runtime::MpmcQueue<Job>>(config_.queue_capacity);
   worker_stats_.reserve(static_cast<std::size_t>(config_.workers));
@@ -198,31 +187,15 @@ void TranscodeService::submit_job(Job job) {
       }
     }
   }
-  job.cacheable = cacheable(job.req.kind) && result_cache_.enabled();
-  // Only the config half of the key here: hashing the payload on the
-  // submission path would make rejection under overload O(payload).
-  // Workers derive the input half lazily when a cache lookup actually
-  // happens.
-  if (job.req.kind == RequestKind::kDeepnEncode) {
-    // Resolve the tenant now — pinning the snapshot at submission is the
-    // registry's consistency contract — and digest by resolved CONTENT, so
-    // two tenants (or registry generations) with identical tables share a
-    // config digest.
-    std::uint64_t tables_digest = deepn_tables_digest_;
-    if (!job.req.tenant.empty()) {
-      job.tenant = config_.registry->find(job.req.tenant);
-      if (!job.tenant) {
-        submit_errors_->inc();
-        refuse(std::move(job), Status::kError,
-               "unknown tenant: " + job.req.tenant);
-        return;
-      }
-      tables_digest = job.tenant->base_digest;
-      job.tenant_hash = fnv1a(job.req.tenant.data(), job.req.tenant.size());
+  if (job.req.kind == RequestKind::kDeepnEncode && !job.req.tenant.empty()) {
+    // Resolve the tenant now: pinning the snapshot at submission is the
+    // registry's consistency contract.
+    job.tenant = config_.registry->find(job.req.tenant);
+    if (!job.tenant) {
+      submit_errors_->inc();
+      refuse(std::move(job), Status::kError, "unknown tenant: " + job.req.tenant);
+      return;
     }
-    job.key.config = deepn_config_digest(tables_digest, job.req.quality);
-  } else {
-    job.key.config = request_config_digest(job.req);
   }
   job.enqueue = Clock::now();
 
@@ -289,19 +262,7 @@ void TranscodeService::process(Job job, WorkerStats& ws) {
   Response resp;
   {
     obs::Span request_span(obs::Stage::kBatch);
-    bool hit = false;
-    if (job.cacheable) {
-      obs::Span probe(obs::Stage::kCacheProbe);
-      job.key.input = request_input_digest(job.req, digest_key_);
-      hit = result_cache_.get(job.key, &resp.bytes);
-    }
-    if (hit) {
-      resp.cache_hit = true;
-    } else {
-      resp = run(job.req, job.tenant.get());
-      if (job.cacheable && resp.status == Status::kOk)
-        result_cache_.put(job.key, resp.bytes, resp.bytes.size(), job.tenant_hash);
-    }
+    resp = run(job.req, job.tenant.get());
   }
   const Clock::time_point done = Clock::now();
   // In-process submissions have no front end to close the root span;
@@ -327,14 +288,12 @@ void TranscodeService::process(Job job, WorkerStats& ws) {
     ws.total_max_us = std::max(ws.total_max_us, total_us);
     ++ws.per_kind[static_cast<int>(job.req.kind)];
     if (resp.status == Status::kOk) ++ws.completed; else ++ws.errors;
-    if (resp.cache_hit) ++ws.cache_hits;
     const ReuseCounters& after = ctx.reuse_counters();
     add_counters(ws.ctx, after, before);
     if (job.tenant) {
       WorkerStats::TenantCounters& tc = ws.tenants[job.tenant->name];
       ++tc.requests;
       if (resp.status == Status::kOk) ++tc.completed; else ++tc.errors;
-      if (resp.cache_hit) ++tc.cache_hits;
       add_counters(tc.ctx, after, before);
       tc.service_time.add(resp.service_us);
       tc.service_max_us = std::max(tc.service_max_us, resp.service_us);
@@ -456,10 +415,9 @@ jpeg::EncoderConfig TranscodeService::deepn_config(int quality,
 
 Response TranscodeService::execute(const Request& req) {
   // Reference path: same handlers, same thread-local context mechanism,
-  // but no queue and — deliberately — no result cache, so cache
-  // correctness is testable by comparing submit() against execute().
-  // Tenant names resolve against the same registry, pinned for the
-  // duration of this call.
+  // but no queue, so scheduling correctness is testable by comparing
+  // submit() against execute(). Tenant names resolve against the same
+  // registry, pinned for the duration of this call.
   const TenantEntry* tenant = nullptr;
   std::shared_ptr<const TenantEntry> pin;
   if (req.kind == RequestKind::kDeepnEncode && !req.tenant.empty()) {
@@ -482,11 +440,6 @@ ServiceStats TranscodeService::stats() const {
   s.refused_shutdown = refused_shutdown_->value();
   s.queue_capacity = queue_->capacity();
   s.queue_high_water = queue_->high_water();
-  s.cache_hits = result_cache_.hits();
-  s.cache_misses = result_cache_.misses();
-  s.cache_evictions = result_cache_.evictions();
-  s.cache_quota_evictions = result_cache_.quota_evictions();
-  s.cache_bytes = result_cache_.bytes();
 
   // Unknown-tenant refusals error at submission — no worker ever sees
   // them. Folding them into both errors and the kind tally preserves the
@@ -526,7 +479,6 @@ ServiceStats TranscodeService::stats() const {
       m.out.requests += tc.requests;
       m.out.completed += tc.completed;
       m.out.errors += tc.errors;
-      m.out.cache_hits += tc.cache_hits;
       m.out.ctx_huffman_builds += tc.ctx.huffman_builds;
       m.out.ctx_reciprocal_builds += tc.ctx.reciprocal_builds;
       m.out.ctx_quality_table_builds += tc.ctx.quality_table_builds;
@@ -550,7 +502,7 @@ ServiceStats TranscodeService::stats() const {
 void TranscodeService::collect_metrics(std::vector<obs::Sample>& out) const {
   // One snapshot per gather(): everything ServiceStats knows, as samples.
   // The submission counters are owned registry instruments and are NOT
-  // re-emitted here. stats() touches worker mutexes and cache counters
+  // re-emitted here. stats() touches worker mutexes and queue counters
   // only — never this registry — so running under the registry mutex
   // cannot deadlock.
   const ServiceStats s = stats();
@@ -580,11 +532,6 @@ void TranscodeService::collect_metrics(std::vector<obs::Sample>& out) const {
   for (int k = 0; k < kNumRequestKinds; ++k)
     counter("serve_requests_by_kind_total", s.per_kind[k],
             {{"kind", kind_name(static_cast<RequestKind>(k))}});
-  counter("serve_result_cache_hits_total", s.cache_hits);
-  counter("serve_result_cache_misses_total", s.cache_misses);
-  counter("serve_result_cache_evictions_total", s.cache_evictions);
-  counter("serve_result_cache_quota_evictions_total", s.cache_quota_evictions);
-  gauge("serve_result_cache_bytes", static_cast<double>(s.cache_bytes));
   gauge("serve_queue_capacity", static_cast<double>(s.queue_capacity));
   gauge("serve_queue_high_water", static_cast<double>(s.queue_high_water));
   counter("serve_ctx_huffman_builds_total", s.ctx_huffman_builds);
@@ -599,7 +546,6 @@ void TranscodeService::collect_metrics(std::vector<obs::Sample>& out) const {
     counter("serve_tenant_requests_total", t.requests, tl);
     counter("serve_tenant_completed_total", t.completed, tl);
     counter("serve_tenant_errors_total", t.errors, tl);
-    counter("serve_tenant_cache_hits_total", t.cache_hits, tl);
     counter("serve_tenant_ctx_huffman_builds_total", t.ctx_huffman_builds, tl);
     counter("serve_tenant_ctx_reciprocal_builds_total", t.ctx_reciprocal_builds, tl);
     counter("serve_tenant_ctx_quality_table_builds_total",

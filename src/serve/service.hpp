@@ -5,8 +5,8 @@
 //               │          (runtime::MpmcQueue)    │ one pump per worker, each on its
 //               │ admission control:               │ own thread-local CodecContext
 //               │   kBlock  — wait for space       │ (warm arenas, cached tables)
-//               │   kReject — typed kRejected      ├─▶ result LRU (shared; byte + per-tenant quota accounting)
-//               ▼            response, immediately └─▶ per-worker latency histograms ──merge──▶ ServiceStats
+//               │   kReject — typed kRejected      └─▶ per-worker latency histograms ──merge──▶ ServiceStats
+//               ▼            response, immediately
 //        future<Response>
 //
 // Scheduling: one FIFO queue of `queue_capacity` requests that every
@@ -14,27 +14,24 @@
 // worker frees up first. Each worker's CodecContext stays warm for a
 // same-configuration stream on its own, and kDeepnEncode scales its two
 // tables per request (well under a microsecond beside a codec call), so
-// no scheduling policy has to protect either.
+// no scheduling policy has to protect either. Every accepted request runs
+// its handler exactly once: there is no result cache.
 //
 // Multi-tenancy: a versioned TableRegistry (shared or service-private)
 // maps tenant names to base table pairs + encoder options. A kDeepnEncode
 // request naming a tenant pins that tenant's immutable snapshot at
 // submission — concurrent re-registration can never mix table generations
-// within a request — and its config digest is taken over the resolved
-// *content*. The result LRU's keyed input digest also folds in the tenant
-// name, so one tenant's entry never answers another's request. It
-// enforces per-tenant byte quotas so one tenant cannot evict everyone
-// else (see LruCache).
+// within a request. Per-tenant counters and service-time histograms are
+// kept for every named tenant.
 //
 // Determinism contract (extends the codec/runtime contracts to serving):
 // every response payload is bit-identical to the equivalent synchronous
-// single-threaded call — execute() — regardless of worker count, cache
-// hits, or arrival order. This holds because every handler is a pure
-// function of the request plus the configuration snapshot it pinned:
-// contexts only carry scratch state, the result cache stores
-// deterministic functions of its keys, and the model is locked during each
-// forward. tests/test_serve.cpp pins the contract across worker counts
-// {1, 2, 8}, cache off and warm, and concurrent submitters.
+// single-threaded call — execute() — regardless of worker count or
+// arrival order. This holds because every handler is a pure function of
+// the request plus the configuration snapshot it pinned: contexts only
+// carry scratch state, and the model is locked during each forward.
+// tests/test_serve.cpp pins the contract across worker counts {1, 2, 8},
+// cold and warm contexts, and concurrent submitters.
 //
 // Shutdown: shutdown() closes the queue (new submissions get a typed
 // kShutdown response; blocked submitters wake with the same), lets the
@@ -56,8 +53,6 @@
 #include "obs/metrics.hpp"
 #include "runtime/mpmc_queue.hpp"
 #include "runtime/thread_pool.hpp"
-#include "serve/digest.hpp"
-#include "serve/lru_cache.hpp"
 #include "serve/registry.hpp"
 #include "serve/request.hpp"
 #include "serve/service_stats.hpp"
@@ -81,21 +76,10 @@ struct ServiceConfig {
 
   AdmissionPolicy admission = AdmissionPolicy::kBlock;
 
-  /// Result-cache entries — encoded byte payloads keyed on (keyed 128-bit
-  /// input digest, config digest); see serve/digest.hpp. 0 disables the
-  /// cache.
+  /// Retired with the result cache: both fields are ignored, and stay only
+  /// so existing configurations still compile.
   std::size_t cache_capacity = 256;
-
-  /// Result-cache byte ceiling across all entries (0 = entry count only).
   std::size_t cache_max_bytes = 0;
-
-  /// Per-tenant result-cache byte quota (0 = none). Over-quota tenants
-  /// evict their own least-recently-used entries, never other tenants'.
-  /// A tenant whose TenantEntry carries a nonzero quota_bytes... shares
-  /// this single cache-wide per-tenant cap (the registry quota is
-  /// bookkeeping for operators; enforcement is uniform by design so the
-  /// cache needs no registry lookups on the hot path).
-  std::size_t tenant_quota_bytes = 0;
 
   /// The deployment's DeepN-JPEG table pair, the base that tenantless
   /// kDeepnEncode requests IJG-scale by their `quality`. Defaults to
@@ -151,8 +135,8 @@ class TranscodeService {
   void submit(Request req, Callback done);
 
   /// The synchronous reference path: runs `req` immediately on the calling
-  /// thread — no queue and no result cache (tenant names still resolve
-  /// against the registry, pinned at this call). The determinism contract
+  /// thread — no queue (tenant names still resolve against the registry,
+  /// pinned at this call). The determinism contract
   /// says submit()'s payloads equal execute()'s, bit for bit.
   Response execute(const Request& req);
 
@@ -191,18 +175,11 @@ class TranscodeService {
   void refuse(Job&& job, Status status, std::string why);
 
   ServiceConfig config_;
-  /// This service's SipHash key for result-cache input digests, drawn at
-  /// construction and never exposed (serve/digest.hpp).
-  const SipKey digest_key_ = random_sip_key();
-  std::uint64_t deepn_tables_digest_ = 0;
 
   std::unique_ptr<runtime::MpmcQueue<Job>> queue_;
   std::vector<std::unique_ptr<WorkerStats>> worker_stats_;
   std::unique_ptr<runtime::ThreadPool> workers_;  ///< null once shut down
   std::mutex shutdown_mutex_;
-
-  LruCache<CacheKey, std::vector<std::uint8_t>, CacheKeyHash> result_cache_;
-
   std::mutex model_mutex_;
 
   // Submission-side counters (completion-side ones live in WorkerStats).

@@ -58,7 +58,6 @@ struct TenantStats {
   std::uint64_t requests = 0;   ///< processed = completed + errors
   std::uint64_t completed = 0;
   std::uint64_t errors = 0;
-  std::uint64_t cache_hits = 0;  ///< result-cache hits
   std::uint64_t ctx_huffman_builds = 0;
   std::uint64_t ctx_reciprocal_builds = 0;
   std::uint64_t ctx_quality_table_builds = 0;
@@ -68,8 +67,7 @@ struct TenantStats {
 
 /// Point-in-time snapshot of a service's counters and latency quantiles.
 /// Responses' payloads are deterministic; this snapshot is the one place
-/// where scheduling (timing, cache state) is allowed to
-/// show.
+/// where scheduling (timing, context warmth) is allowed to show.
 struct ServiceStats {
   // Request lifecycle.
   std::uint64_t submitted = 0;
@@ -78,15 +76,6 @@ struct ServiceStats {
   std::uint64_t rejected = 0;   ///< kRejected (reject policy, queue full)
   std::uint64_t refused_shutdown = 0;  ///< kShutdown (submitted too late)
   std::uint64_t per_kind[kNumRequestKinds] = {};  ///< processed, by RequestKind
-
-  // Result cache. cache_bytes is the recorded payload total;
-  // cache_quota_evictions count entries a tenant pushed out of its OWN
-  // allotment (the fairness mechanism, disjoint from cache_evictions).
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_evictions = 0;
-  std::uint64_t cache_quota_evictions = 0;
-  std::uint64_t cache_bytes = 0;
 
   // Queue pressure.
   std::uint64_t queue_capacity = 0;

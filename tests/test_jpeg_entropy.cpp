@@ -14,7 +14,8 @@
 //  * Corrupt-stream hardening — invalid codes, all-ones bit runs,
 //    magnitudes past the scan end and broken restart sequences must throw
 //    std::runtime_error (and surface as kDecodeError through the api
-//    façade), never hang, crash or read out of bounds. Run under the
+//    façade), never hang, crash or read out of bounds; legal fill bytes
+//    before a restart marker must decode. Run under the
 //    ASan/UBSan CI legs like every other test.
 //  * Batched emission — encode_blocks must emit byte-identical streams
 //    to per-block encode_block, and the BlockCursor must match the
@@ -330,6 +331,29 @@ TEST(EntropyRobustness, OutOfSequenceRestartMarkerIsRejected) {
   // First marker must be RST0; advance its index so the sequence breaks.
   s[rst + 1] = static_cast<std::uint8_t>(0xD0 + ((s[rst + 1] - 0xD0 + 3) % 8));
   expect_decode_throws_at_every_width(s);
+}
+
+TEST(EntropyRobustness, FillBytesBeforeARestartMarkerAreSkipped) {
+  // T.81 B.1.1.2: any marker may be preceded by fill bytes (0xFF). They
+  // carry no scan data, so the stream decodes exactly as it did without
+  // them, serially and restart-parallel.
+  const std::vector<std::uint8_t> plain = restart_stream();
+  pipeline::CodecContext ref_ctx;
+  const image::Image want = decode(plain, ref_ctx, 1);
+  for (const std::size_t fill : {std::size_t{1}, std::size_t{3}}) {
+    std::vector<std::uint8_t> s = plain;
+    const std::size_t rst = first_rst(s, scan_begin(s));
+    s.insert(s.begin() + static_cast<long>(rst), fill, std::uint8_t{0xFF});
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE("fill=" + std::to_string(fill) + " threads=" + std::to_string(threads));
+      pipeline::CodecContext ctx;
+      try {
+        EXPECT_EQ(decode(s, ctx, threads).data(), want.data());
+      } catch (const std::runtime_error& e) {
+        ADD_FAILURE() << e.what();
+      }
+    }
+  }
 }
 
 TEST(EntropyRobustness, TruncatedScanSweepNeverHangsOrCrashes) {

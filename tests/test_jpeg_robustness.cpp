@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <stdexcept>
+#include <string>
 
 #include "data/synthetic.hpp"
 #include "jpeg/codec.hpp"
@@ -80,6 +82,40 @@ TEST_P(BitFlipSweep, RandomMultiByteCorruptions) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BitFlipSweep, ::testing::Range<std::uint64_t>(1, 6));
+
+TEST(Robustness, NonInterleavedScanIsNamedInTheError) {
+  // A baseline (SOF0) frame may code its components in separate scans.
+  // The decoder reads one interleaved scan only, and must say that, not
+  // blame progressive coding: patch a colour stream's SOS down to its
+  // first component.
+  data::GeneratorConfig cfg;
+  cfg.width = 48;
+  cfg.height = 40;
+  cfg.channels = 3;
+  cfg.seed = 99;
+  const image::Image img =
+      data::SyntheticDatasetGenerator(cfg).render(data::ClassKind::kBandNoise, 0);
+  EncoderConfig ec;
+  ec.quality = 80;
+  std::vector<std::uint8_t> s = encode(img, ec);
+  std::size_t sos = 0;
+  while (sos + 1 < s.size() && !(s[sos] == 0xFF && s[sos + 1] == 0xDA)) ++sos;
+  ASSERT_LT(sos + 12, s.size());
+  ASSERT_EQ(s[sos + 4], 3);  // Ns
+  s[sos + 3] = 8;            // Ls = 6 + 2 * Ns
+  s[sos + 4] = 1;
+  s.erase(s.begin() + static_cast<long>(sos) + 7, s.begin() + static_cast<long>(sos) + 11);
+  try {
+    (void)decode(s);
+    ADD_FAILURE() << "a one-component scan of a colour frame decoded";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("non-interleaved sequential scans are not supported"),
+              std::string::npos)
+        << what;
+    EXPECT_EQ(what.find("progressive"), std::string::npos) << what;
+  }
+}
 
 TEST(Robustness, HeaderFieldMutations) {
   const std::vector<std::uint8_t> full = reference_stream();

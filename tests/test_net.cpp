@@ -3,10 +3,10 @@
 //
 // The load-bearing test is ByteIdenticalToSynchronousCalls: response
 // payloads received over TCP must equal the synchronous in-process calls
-// bit for bit — across worker counts, cache states, and both poller
-// backends. That is the serving determinism contract crossing the wire;
-// everything between the client and the codec (marshalling, framing,
-// socket fragmentation, scheduling, caching, write-back) must be
+// bit for bit — across worker counts, cold and warm worker contexts, and
+// both poller backends. That is the serving determinism contract crossing
+// the wire; everything between the client and the codec (marshalling,
+// framing, socket fragmentation, scheduling, write-back) must be
 // payload-transparent for it to hold.
 //
 // The rest covers the connection state machine: pipelining and response
@@ -102,69 +102,68 @@ TEST(NetServer, ByteIdenticalToSynchronousCalls) {
   api::Session session;
 
   for (int workers : {1, 4}) {
-    for (std::size_t cache : {std::size_t{0}, std::size_t{64}}) {
-      serve::ServiceConfig cfg;
-      cfg.workers = workers;
-      cfg.cache_capacity = cache;
-      TestServer ts(std::move(cfg));
-      Client client = ts.connect();
-      std::string error;
+    serve::ServiceConfig cfg;
+    cfg.workers = workers;
+    TestServer ts(std::move(cfg));
+    Client client = ts.connect();
+    std::string error;
 
-      // encode: wire result == synchronous api::Codec result.
-      serve::Request enc = encode_request(img, 85);
-      const auto sync_encode = session.codec().encode(
-          api::ImageView{img.data().data(), img.width(), img.height(), img.channels()},
-          api::EncodeOptions().quality(85).chroma_420(false));
-      ASSERT_TRUE(sync_encode.ok());
-      // Twice: the second call may be served from the result cache — the
-      // payload must not depend on that.
-      for (int round = 0; round < 2; ++round) {
-        WireReply reply;
-        ASSERT_TRUE(client.call(enc, &reply, &error)) << error;
-        ASSERT_EQ(reply.status, WireStatus::kOk)
-            << "workers=" << workers << " cache=" << cache << " round=" << round;
-        EXPECT_EQ(reply.bytes, sync_encode.value())
-            << "workers=" << workers << " cache=" << cache << " round=" << round;
-      }
-
-      // decode: wire pixels == synchronous pixels.
-      serve::Request dec;
-      dec.kind = serve::RequestKind::kDecode;
-      dec.bytes = sync_encode.value();
-      const auto sync_decode = session.codec().decode(sync_encode.value());
-      ASSERT_TRUE(sync_decode.ok());
-      WireReply dec_reply;
-      ASSERT_TRUE(client.call(dec, &dec_reply, &error)) << error;
-      ASSERT_EQ(dec_reply.status, WireStatus::kOk);
-      EXPECT_EQ(dec_reply.image.data(), sync_decode.value().pixels);
-
-      // transcode.
-      serve::Request trans;
-      trans.kind = serve::RequestKind::kTranscode;
-      trans.bytes = sync_encode.value();
-      trans.config.quality = 60;
-      trans.config.subsampling = jpeg::Subsampling::k444;
-      const auto sync_transcode = session.codec().transcode(
-          sync_encode.value(), api::EncodeOptions().quality(60).chroma_420(false));
-      ASSERT_TRUE(sync_transcode.ok());
-      WireReply trans_reply;
-      ASSERT_TRUE(client.call(trans, &trans_reply, &error)) << error;
-      ASSERT_EQ(trans_reply.status, WireStatus::kOk);
-      EXPECT_EQ(trans_reply.bytes, sync_transcode.value());
-
-      // deepn-encode: reference is the service's own synchronous path
-      // (the result depends on the service's installed table pair).
-      serve::Request deepn;
-      deepn.kind = serve::RequestKind::kDeepnEncode;
-      deepn.quality = 70;
-      deepn.image = img;
-      const serve::Response sync_deepn = ts.service.execute(deepn);
-      ASSERT_EQ(sync_deepn.status, serve::Status::kOk);
-      WireReply deepn_reply;
-      ASSERT_TRUE(client.call(deepn, &deepn_reply, &error)) << error;
-      ASSERT_EQ(deepn_reply.status, WireStatus::kOk);
-      EXPECT_EQ(deepn_reply.bytes, sync_deepn.bytes);
+    // encode: wire result == synchronous api::Codec result.
+    serve::Request enc = encode_request(img, 85);
+    const auto sync_encode = session.codec().encode(
+        api::ImageView{img.data().data(), img.width(), img.height(), img.channels()},
+        api::EncodeOptions().quality(85).chroma_420(false));
+    ASSERT_TRUE(sync_encode.ok());
+    // Twice: the second call runs on a warm worker context — the payload
+    // must not depend on that, and no reply is ever a cache hit.
+    for (int round = 0; round < 2; ++round) {
+      WireReply reply;
+      ASSERT_TRUE(client.call(enc, &reply, &error)) << error;
+      ASSERT_EQ(reply.status, WireStatus::kOk) << "workers=" << workers << " round=" << round;
+      EXPECT_EQ(reply.bytes, sync_encode.value()) << "workers=" << workers << " round=" << round;
+      EXPECT_FALSE(reply.cache_hit) << "workers=" << workers << " round=" << round;
     }
+
+    // decode: wire pixels == synchronous pixels.
+    serve::Request dec;
+    dec.kind = serve::RequestKind::kDecode;
+    dec.bytes = sync_encode.value();
+    const auto sync_decode = session.codec().decode(sync_encode.value());
+    ASSERT_TRUE(sync_decode.ok());
+    WireReply dec_reply;
+    ASSERT_TRUE(client.call(dec, &dec_reply, &error)) << error;
+    ASSERT_EQ(dec_reply.status, WireStatus::kOk);
+    EXPECT_EQ(dec_reply.image.data(), sync_decode.value().pixels);
+    EXPECT_FALSE(dec_reply.cache_hit);
+
+    // transcode.
+    serve::Request trans;
+    trans.kind = serve::RequestKind::kTranscode;
+    trans.bytes = sync_encode.value();
+    trans.config.quality = 60;
+    trans.config.subsampling = jpeg::Subsampling::k444;
+    const auto sync_transcode = session.codec().transcode(
+        sync_encode.value(), api::EncodeOptions().quality(60).chroma_420(false));
+    ASSERT_TRUE(sync_transcode.ok());
+    WireReply trans_reply;
+    ASSERT_TRUE(client.call(trans, &trans_reply, &error)) << error;
+    ASSERT_EQ(trans_reply.status, WireStatus::kOk);
+    EXPECT_EQ(trans_reply.bytes, sync_transcode.value());
+    EXPECT_FALSE(trans_reply.cache_hit);
+
+    // deepn-encode: reference is the service's own synchronous path
+    // (the result depends on the service's installed table pair).
+    serve::Request deepn;
+    deepn.kind = serve::RequestKind::kDeepnEncode;
+    deepn.quality = 70;
+    deepn.image = img;
+    const serve::Response sync_deepn = ts.service.execute(deepn);
+    ASSERT_EQ(sync_deepn.status, serve::Status::kOk);
+    WireReply deepn_reply;
+    ASSERT_TRUE(client.call(deepn, &deepn_reply, &error)) << error;
+    ASSERT_EQ(deepn_reply.status, WireStatus::kOk);
+    EXPECT_EQ(deepn_reply.bytes, sync_deepn.bytes);
+    EXPECT_FALSE(deepn_reply.cache_hit);
   }
 }
 
@@ -334,7 +333,6 @@ TEST(NetServer, OverloadYieldsTypedRejection) {
   cfg.workers = 1;
   cfg.queue_capacity = 1;
   cfg.admission = serve::AdmissionPolicy::kReject;
-  cfg.cache_capacity = 0;
   TestServer ts(std::move(cfg));
   Client client = ts.connect();
   std::string error;

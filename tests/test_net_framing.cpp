@@ -376,23 +376,30 @@ TEST(NetProtocol, OkResponseCarriesObservabilityAndPayload) {
   serve::Response resp;
   resp.status = serve::Status::kOk;
   resp.bytes = {9, 8, 7, 6};
-  resp.cache_hit = true;
   resp.batch_size = 5;
   resp.queue_us = 123.5;
   resp.service_us = 456.25;
 
-  const Frame frame = make_response(77, Op::kEncode, 0xABCDu, resp);
+  Frame frame = make_response(77, Op::kEncode, 0xABCDu, resp);
   EXPECT_EQ(frame.config_digest, 0xABCDu);
+  ASSERT_FALSE(frame.payload.empty());
+  EXPECT_EQ(frame.payload[0], 0u);  // the retired cache-hit byte
 
   WireReply reply;
   ASSERT_TRUE(parse_response(frame, &reply));
   EXPECT_EQ(reply.status, WireStatus::kOk);
   EXPECT_EQ(reply.request_id, 77u);
   EXPECT_EQ(reply.bytes, resp.bytes);
-  EXPECT_TRUE(reply.cache_hit);
+  EXPECT_FALSE(reply.cache_hit);
   EXPECT_EQ(reply.batch_size, 5u);
   EXPECT_DOUBLE_EQ(reply.queue_us, 123.5);
   EXPECT_DOUBLE_EQ(reply.service_us, 456.25);
+
+  // A reply whose byte is set (an older server's cache hit) still parses.
+  frame.payload[0] = 1;
+  ASSERT_TRUE(parse_response(frame, &reply));
+  EXPECT_TRUE(reply.cache_hit);
+  EXPECT_EQ(reply.bytes, resp.bytes);
 }
 
 TEST(NetProtocol, DecodeAndInferResponsesRoundTrip) {

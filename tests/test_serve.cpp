@@ -3,11 +3,11 @@
 // The load-bearing ones are ByteIdenticalToSynchronousCalls and
 // ConcurrentSubmittersGetSynchronousBytes: every response payload must
 // equal the equivalent synchronous single-threaded call, bit for bit,
-// across worker counts {1, 2, 8}, cache off/warm and concurrent
-// submitters — the serving extension of the repo-wide determinism
-// contract. The expected values are computed with direct jpeg::/nn:: calls
-// (not TranscodeService::execute) so a service-side wiring bug cannot
-// cancel out of the comparison.
+// across worker counts {1, 2, 8}, cold and warm worker contexts and
+// concurrent submitters — the serving extension of the repo-wide
+// determinism contract. The expected values are computed with direct
+// jpeg::/nn:: calls (not TranscodeService::execute) so a service-side
+// wiring bug cannot cancel out of the comparison.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -168,53 +168,30 @@ TEST(TranscodeService, ByteIdenticalToSynchronousCalls) {
       mixed_workload(model.get(), deepn_luma, deepn_chroma);
 
   for (int workers : {1, 2, 8}) {
-    for (std::size_t cache : {std::size_t{0}, std::size_t{128}}) {
-      ServiceConfig cfg;
-      cfg.workers = workers;
-      cfg.cache_capacity = cache;
-      cfg.queue_capacity = 64;
-      cfg.deepn_luma = deepn_luma;
-      cfg.deepn_chroma = deepn_chroma;
-      cfg.model = model.get();
-      TranscodeService service(cfg);
+    ServiceConfig cfg;
+    cfg.workers = workers;
+    cfg.queue_capacity = 64;
+    cfg.deepn_luma = deepn_luma;
+    cfg.deepn_chroma = deepn_chroma;
+    cfg.model = model.get();
+    TranscodeService service(cfg);
 
-      // Two passes over the workload: the second hits a warm cache when
-      // caching is on, and must still match the uncached expectation.
-      std::vector<std::future<Response>> futures;
-      for (int pass = 0; pass < 2; ++pass)
-        for (const Expected& e : workload) futures.push_back(service.submit(e.request));
-      for (std::size_t f = 0; f < futures.size(); ++f) {
-        const Response got = futures[f].get();
-        expect_payload_equal(got, workload[f % workload.size()].want, f);
-      }
-
-      const ServiceStats st = service.stats();
-      EXPECT_EQ(st.submitted, futures.size());
-      EXPECT_EQ(st.completed, futures.size());
-      EXPECT_EQ(st.errors, 0u);
-      EXPECT_LE(st.queue_high_water, st.queue_capacity);
-      if (cache > 0) {
-        EXPECT_GT(st.cache_hits, 0u);
-      }
+    // Two passes over the workload: the second runs on warm worker
+    // contexts, and must still match the cold expectation.
+    std::vector<std::future<Response>> futures;
+    for (int pass = 0; pass < 2; ++pass)
+      for (const Expected& e : workload) futures.push_back(service.submit(e.request));
+    for (std::size_t f = 0; f < futures.size(); ++f) {
+      const Response got = futures[f].get();
+      expect_payload_equal(got, workload[f % workload.size()].want, f);
     }
+
+    const ServiceStats st = service.stats();
+    EXPECT_EQ(st.submitted, futures.size());
+    EXPECT_EQ(st.completed, futures.size());
+    EXPECT_EQ(st.errors, 0u);
+    EXPECT_LE(st.queue_high_water, st.queue_capacity);
   }
-}
-
-TEST(TranscodeService, CacheHitIsFlaggedAndIdentical) {
-  ServiceConfig cfg;
-  cfg.workers = 1;
-  cfg.cache_capacity = 16;
-  TranscodeService service(cfg);
-
-  const Request req = encode_request(gray_corpus(1).samples[0].image, config_a());
-  const Response first = service.submit(req).get();
-  const Response second = service.submit(req).get();
-  ASSERT_EQ(first.status, Status::kOk);
-  ASSERT_EQ(second.status, Status::kOk);
-  EXPECT_FALSE(first.cache_hit);
-  EXPECT_TRUE(second.cache_hit);
-  EXPECT_EQ(first.bytes, second.bytes);
-  EXPECT_GE(service.stats().cache_hits, 1u);
 }
 
 TEST(TranscodeService, RejectPolicyReturnsTypedErrorAndBoundsQueue) {
@@ -262,7 +239,6 @@ TEST(TranscodeService, RejectAdmissionUsesTheWholeQueueForOneConfig) {
   cfg.workers = 2;
   cfg.queue_capacity = 8;
   cfg.admission = AdmissionPolicy::kReject;
-  cfg.cache_capacity = 0;
   TranscodeService service(cfg);
 
   // Two slow encodes occupy both workers; the burst behind them outruns
@@ -359,7 +335,6 @@ TEST(TranscodeService, HandlerExceptionsBecomeTypedErrorResponses) {
 TEST(TranscodeService, WarmContextRebuildAccounting) {
   ServiceConfig cfg;
   cfg.workers = 1;
-  cfg.cache_capacity = 0;  // every request really encodes
   TranscodeService service(cfg);
 
   const image::Image img = gray_corpus(1).samples[0].image;
@@ -402,7 +377,6 @@ TEST(TranscodeService, DeepnTableCacheServesScaledTables) {
     ASSERT_EQ(r.status, Status::kOk);
     EXPECT_EQ(r.bytes, expected);
   }
-  EXPECT_GE(service.stats().cache_hits, 1u);
 }
 
 TEST(TranscodeService, StatsQuantilesAreCoherent) {
@@ -488,7 +462,6 @@ TEST(TranscodeService, TenantRequestsEncodeUnderRegisteredTables) {
 
   ServiceConfig cfg;
   cfg.workers = 2;
-  cfg.cache_capacity = 32;
   cfg.registry = registry;
   TranscodeService service(cfg);
 
@@ -538,7 +511,6 @@ TEST(TranscodeService, TenantSnapshotIsPinnedAtSubmission) {
 
   ServiceConfig cfg;
   cfg.workers = 1;
-  cfg.cache_capacity = 0;
   cfg.registry = registry;
   TranscodeService service(cfg);
 
@@ -568,7 +540,6 @@ TEST(TranscodeService, PerTenantStatsAreAttributed) {
 
   ServiceConfig cfg;
   cfg.workers = 2;
-  cfg.cache_capacity = 32;
   cfg.registry = registry;
   TranscodeService service(cfg);
 
@@ -595,12 +566,8 @@ TEST(TranscodeService, PerTenantStatsAreAttributed) {
   EXPECT_EQ(st.tenants[0].completed, 6u);
   EXPECT_EQ(st.tenants[1].completed, 3u);
   EXPECT_EQ(st.tenants[0].errors, 0u);
-  // 6 identical cacheable requests on 2 workers: the third one starts
-  // after a first one has completed and filled the result cache.
-  EXPECT_GE(st.tenants[0].cache_hits, 1u);
   EXPECT_EQ(st.tenants[0].service_time.count, 6u);
   EXPECT_EQ(st.tenants[1].service_time.count, 3u);
-  EXPECT_GT(st.cache_bytes, 0u);
 }
 
 TEST(TranscodeService, ConcurrentSubmittersGetSynchronousBytes) {
@@ -608,7 +575,7 @@ TEST(TranscodeService, ConcurrentSubmittersGetSynchronousBytes) {
   // once while a fifth re-registers and removes an unrelated tenant. Every
   // payload must still equal its direct-call expectation. Under
   // ThreadSanitizer this covers the serving layer's cross-thread paths:
-  // queue hand-off, result cache, pinned tenant snapshots and stats.
+  // queue hand-off, pinned tenant snapshots and stats.
   const jpeg::QuantTable deepn_luma = jpeg::QuantTable::annex_k_luma();
   const jpeg::QuantTable deepn_chroma = jpeg::QuantTable::uniform(24);
   nn::LayerPtr model = nn::make_model(nn::ModelKind::kMiniAlexNet, 1, 32, 4, 0xA11CE);
@@ -635,7 +602,6 @@ TEST(TranscodeService, ConcurrentSubmittersGetSynchronousBytes) {
     for (const auto& [name, step] : tenants) registry->put(name, tenant_base(step));
     ServiceConfig cfg;
     cfg.workers = workers;
-    cfg.cache_capacity = 128;
     cfg.queue_capacity = 64;
     cfg.deepn_luma = deepn_luma;
     cfg.deepn_chroma = deepn_chroma;
@@ -671,107 +637,6 @@ TEST(TranscodeService, ConcurrentSubmittersGetSynchronousBytes) {
     EXPECT_EQ(st.completed, kSubmitters * n);
     EXPECT_EQ(st.errors, 0u);
   }
-}
-
-TEST(TranscodeService, TenantsWithIdenticalTablesNeverShareResultEntries) {
-  auto registry = std::make_shared<TableRegistry>();
-  registry->put("alpha", tenant_base(20));
-  registry->put("beta", tenant_base(20));
-
-  ServiceConfig cfg;
-  cfg.workers = 1;
-  cfg.cache_capacity = 32;
-  cfg.registry = registry;
-  TranscodeService service(cfg);
-
-  const image::Image img = gray_corpus(1).samples[0].image;
-  const Response a1 = service.submit(tenant_request(img, "alpha", 40)).get();
-  const Response b1 = service.submit(tenant_request(img, "beta", 40)).get();
-  const Response a2 = service.submit(tenant_request(img, "alpha", 40)).get();
-  const Response b2 = service.submit(tenant_request(img, "beta", 40)).get();
-  for (const Response* r : {&a1, &b1, &a2, &b2}) ASSERT_EQ(r->status, Status::kOk) << r->error;
-  EXPECT_FALSE(a1.cache_hit);
-  EXPECT_FALSE(b1.cache_hit);  // alpha's entry must not answer beta
-  EXPECT_TRUE(a2.cache_hit);
-  EXPECT_TRUE(b2.cache_hit);
-  EXPECT_EQ(b1.bytes, a1.bytes);  // same tables, same bytes, separate entries
-  EXPECT_EQ(a2.bytes, a1.bytes);
-  EXPECT_EQ(b2.bytes, a1.bytes);
-  const ServiceStats st = service.stats();
-  ASSERT_EQ(st.tenants.size(), 2u);
-  EXPECT_EQ(st.tenants[0].cache_hits, 1u);
-  EXPECT_EQ(st.tenants[1].cache_hits, 1u);
-}
-
-TEST(TranscodeService, PerServiceDigestKeysChangeNeitherBytesNorHits) {
-  // Each service draws its own SipHash key for the result cache. The key
-  // decides where an entry lives, never what a request returns or whether
-  // a repeated input hits.
-  const data::Dataset ds = gray_corpus();
-  std::vector<Request> distinct;
-  for (std::size_t i = 0; i < 4; ++i) {
-    const image::Image& img = ds.samples[i].image;
-    distinct.push_back(encode_request(img, i % 2 ? config_a() : config_b()));
-    Request xcode;
-    xcode.kind = RequestKind::kTranscode;
-    xcode.bytes = jpeg::encode(img, config_a());
-    xcode.config = config_b();
-    distinct.push_back(std::move(xcode));
-    Request deepn;
-    deepn.kind = RequestKind::kDeepnEncode;
-    deepn.image = img;
-    deepn.quality = 45;
-    distinct.push_back(std::move(deepn));
-  }
-  ServiceConfig cfg;
-  cfg.workers = 1;
-  cfg.cache_capacity = 64;
-  TranscodeService a(cfg);
-  TranscodeService b(cfg);
-  constexpr int kRounds = 3;
-  for (int round = 0; round < kRounds; ++round)
-    for (std::size_t i = 0; i < distinct.size(); ++i) {
-      const Response ra = a.submit(distinct[i]).get();
-      const Response rb = b.submit(distinct[i]).get();
-      ASSERT_EQ(ra.status, Status::kOk) << ra.error;
-      ASSERT_EQ(rb.status, Status::kOk) << rb.error;
-      EXPECT_EQ(ra.bytes, rb.bytes) << "round " << round << " request " << i;
-      EXPECT_EQ(ra.cache_hit, round > 0) << "round " << round << " request " << i;
-      EXPECT_EQ(rb.cache_hit, round > 0) << "round " << round << " request " << i;
-    }
-  EXPECT_EQ(a.stats().cache_hits, (kRounds - 1) * distinct.size());
-  EXPECT_EQ(b.stats().cache_hits, a.stats().cache_hits);
-}
-
-SipKey key_00_to_0f() {
-  SipKey key;
-  key.k0 = 0x0706050403020100ULL;
-  key.k1 = 0x0f0e0d0c0b0a0908ULL;
-  return key;
-}
-
-TEST(SipHash24, PaperAppendixAVector) {
-  // Aumasson & Bernstein, "SipHash: a fast short-input PRF", Appendix A:
-  // key 00..0f, message 00..0e, 64-bit output.
-  std::uint8_t msg[15];
-  for (int i = 0; i < 15; ++i) msg[i] = static_cast<std::uint8_t>(i);
-  SipHash24 whole(key_00_to_0f(), /*wide=*/false);
-  whole.update(msg, sizeof msg);
-  EXPECT_EQ(whole.finish64(), 0xa129ca6149be45e5ULL);
-  // Streaming in pieces that straddle the 8-byte words gives the same.
-  SipHash24 pieces(key_00_to_0f(), /*wide=*/false);
-  pieces.update(msg, 3);
-  pieces.update(msg + 3, 7);
-  pieces.update(msg + 10, 5);
-  EXPECT_EQ(pieces.finish64(), 0xa129ca6149be45e5ULL);
-}
-
-TEST(SipHash24, Wide128BitEmptyMessageVector) {
-  // The reference implementation's 128-bit vector for the empty message
-  // under key 00..0f: a3 81 7f 04 ba 25 a8 e6 6d f6 72 14 c7 55 02 93.
-  const Digest128 d = SipHash24(key_00_to_0f(), /*wide=*/true).finish128();
-  EXPECT_EQ(d.lo, 0xe6a825ba047f81a3ULL);
-  EXPECT_EQ(d.hi, 0x930255c71472f66dULL);
 }
 
 }  // namespace
