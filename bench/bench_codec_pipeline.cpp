@@ -8,6 +8,12 @@
 // comparison doubles as an end-to-end equivalence smoke: the two paths
 // must produce byte-identical streams.
 //
+// The write-path row times one single-thread 1024x1024 4:4:4 encode with a
+// DeepN-designed table (the rgb1024-deepn shape), whole and per stage. When
+// CMake found libjpeg at configure time, libjpeg's islow encode of the same
+// frame with the same tables and static Huffman coding runs beside it as a
+// yardstick. Reported, not gated.
+//
 // Usage: bench_codec_pipeline [num_images] [repeats]
 //   num_images — dataset size (default 256)
 //   repeats    — timed repetitions per measurement; best run reported
@@ -16,9 +22,16 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <vector>
 
+#if defined(DNJ_HAVE_LIBJPEG)
+#include <cstdio>  // jpeglib.h needs FILE and size_t declared first
+#include <jpeglib.h>
+#endif
+
 #include "bench_common.hpp"
+#include "core/deepnjpeg.hpp"
 #include "image/blocks.hpp"
 #include "image/color.hpp"
 #include "jpeg/bitio.hpp"
@@ -27,6 +40,7 @@
 #include "jpeg/dct.hpp"
 #include "jpeg/pipeline/codec_context.hpp"
 #include "jpeg/quant.hpp"
+#include "obs/trace.hpp"
 #include "simd/dispatch.hpp"
 
 using namespace dnj;
@@ -46,6 +60,157 @@ double best_of(int repeats, Fn&& fn) {
     best = std::min(best, seconds_since(t0));
   }
   return best;
+}
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n % 2 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
+// One codec's single-thread encode of the write-path frame: the median and
+// fastest of its timed encodes, the stream size, and (ours only) the
+// median of each stage's span over as many traced encodes.
+struct WritePathRow {
+  const char* codec = "";
+  std::function<std::size_t()> encode;  // returns the stream size
+  double median_s = 0, min_s = 0;
+  std::size_t bytes = 0;
+  bool has_stages = false;
+  double stage_s[4] = {};  // tile (colour included), dct, quant, entropy
+};
+
+// Times `runs` encodes per row, alternating the rows run by run, so a
+// machine that slows down mid-measurement slows every codec alike.
+void time_encodes(std::vector<WritePathRow>& rows, int runs) {
+  std::vector<std::vector<double>> s(rows.size());
+  for (WritePathRow& row : rows) row.bytes = row.encode();  // warm-up
+  for (int r = 0; r < runs; ++r)
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const auto t0 = std::chrono::steady_clock::now();
+      rows[i].encode();
+      s[i].push_back(seconds_since(t0));
+    }
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    rows[i].median_s = median(s[i]);
+    rows[i].min_s = *std::min_element(s[i].begin(), s[i].end());
+  }
+}
+
+// The rgb1024-deepn frame shape: a 1024x1024 mosaic of 32x32 colour tiles
+// from the synthetic generator.
+image::Image write_path_frame() {
+  constexpr int kTile = 32, kSide = 1024, kPerSide = kSide / kTile;
+  data::GeneratorConfig cfg;
+  cfg.width = kTile;
+  cfg.height = kTile;
+  cfg.channels = 3;
+  cfg.seed = 0x1024D;
+  const data::SyntheticDatasetGenerator gen(cfg);
+  image::Image frame(kSide, kSide, 3);
+  for (int t = 0; t < kPerSide * kPerSide; ++t) {
+    const image::Image tile =
+        gen.render(static_cast<data::ClassKind>(t % data::kNumClassKinds), t);
+    for (int y = 0; y < kTile; ++y)
+      std::copy_n(tile.data().data() + static_cast<std::size_t>(y) * kTile * 3, kTile * 3,
+                  &frame.at((t % kPerSide) * kTile, (t / kPerSide) * kTile + y));
+  }
+  return frame;
+}
+
+#if defined(DNJ_HAVE_LIBJPEG)
+// libjpeg's encode of `img`: islow DCT, 4:4:4, static Huffman tables, and
+// `table` verbatim for luma and chroma (scale 100 = unscaled). Returns the
+// stream size.
+std::size_t libjpeg_encode(const image::Image& img, const jpeg::QuantTable& table) {
+  jpeg_compress_struct cinfo;
+  jpeg_error_mgr jerr;
+  cinfo.err = jpeg_std_error(&jerr);
+  jpeg_create_compress(&cinfo);
+  unsigned char* buf = nullptr;
+  unsigned long size = 0;
+  jpeg_mem_dest(&cinfo, &buf, &size);
+  cinfo.image_width = static_cast<JDIMENSION>(img.width());
+  cinfo.image_height = static_cast<JDIMENSION>(img.height());
+  cinfo.input_components = 3;
+  cinfo.in_color_space = JCS_RGB;
+  jpeg_set_defaults(&cinfo);
+  cinfo.dct_method = JDCT_ISLOW;
+  cinfo.optimize_coding = FALSE;
+  for (int c = 0; c < 3; ++c) {
+    cinfo.comp_info[c].h_samp_factor = 1;
+    cinfo.comp_info[c].v_samp_factor = 1;
+  }
+  unsigned int steps[64];
+  for (int k = 0; k < 64; ++k) steps[k] = table.natural()[static_cast<std::size_t>(k)];
+  jpeg_add_quant_table(&cinfo, 0, steps, 100, TRUE);
+  jpeg_add_quant_table(&cinfo, 1, steps, 100, TRUE);
+  jpeg_start_compress(&cinfo, TRUE);
+  std::vector<JSAMPROW> rows(static_cast<std::size_t>(img.height()));
+  for (int y = 0; y < img.height(); ++y)
+    rows[static_cast<std::size_t>(y)] = const_cast<JSAMPROW>(
+        img.data().data() + static_cast<std::size_t>(y) * img.width() * 3);
+  while (cinfo.next_scanline < cinfo.image_height)
+    jpeg_write_scanlines(&cinfo, rows.data() + cinfo.next_scanline,
+                         cinfo.image_height - cinfo.next_scanline);
+  jpeg_finish_compress(&cinfo);
+  jpeg_destroy_compress(&cinfo);
+  std::free(buf);
+  return static_cast<std::size_t>(size);
+}
+#endif
+
+// The write-path rows: ours, and libjpeg's when it was found.
+std::vector<WritePathRow> measure_write_path(int runs) {
+  const image::Image frame = write_path_frame();
+  data::GeneratorConfig design_cfg;
+  design_cfg.channels = 3;
+  design_cfg.seed = 0xDE5;
+  const jpeg::QuantTable table =
+      core::DeepNJpeg::design(data::SyntheticDatasetGenerator(design_cfg).generate(4)).table;
+  jpeg::EncoderConfig cfg;
+  cfg.subsampling = jpeg::Subsampling::k444;
+  cfg.use_custom_tables = true;
+  cfg.luma_table = table;
+  cfg.chroma_table = table;
+
+  jpeg::pipeline::CodecContext ctx;
+  std::vector<WritePathRow> rows(1);
+  rows[0].codec = "dnj";
+  rows[0].encode = [&] { return jpeg::encode(frame, cfg, ctx).size(); };
+#if defined(DNJ_HAVE_LIBJPEG)
+  rows.emplace_back();
+  rows[1].codec = "libjpeg-turbo-islow";
+  rows[1].encode = [&] { return libjpeg_encode(frame, table); };
+#endif
+  time_encodes(rows, runs);
+
+  // Per stage: the encoder's own stage spans, over as many traced encodes.
+  obs::Tracer& tracer = obs::Tracer::instance();
+  const std::uint32_t saved_sampling = tracer.sample_every();
+  tracer.set_sample_every(1);
+  const obs::Stage stages[4] = {obs::Stage::kEncodeTile, obs::Stage::kEncodeDct,
+                                obs::Stage::kEncodeQuant, obs::Stage::kEncodeEntropy};
+  std::vector<double> stage_runs[4];
+  for (int r = 0; r < runs; ++r) {
+    tracer.clear();
+    const std::uint64_t trace = tracer.start_trace();
+    {
+      obs::TraceScope scope(trace, 0);
+      (void)jpeg::encode(frame, cfg, ctx);
+    }
+    double sums[4] = {};
+    for (const obs::SpanRecord& rec : tracer.dump())
+      for (int i = 0; i < 4; ++i)
+        if (rec.trace_id == trace && rec.stage == stages[i])
+          sums[i] += static_cast<double>(rec.end_ns - rec.start_ns) * 1e-9;
+    for (int i = 0; i < 4; ++i) stage_runs[i].push_back(sums[i]);
+  }
+  tracer.clear();
+  tracer.set_sample_every(saved_sampling);
+  rows[0].has_stages = true;
+  for (int i = 0; i < 4; ++i) rows[0].stage_s[i] = median(stage_runs[i]);
+  return rows;
 }
 
 }  // namespace
@@ -156,15 +321,25 @@ int main(int argc, char** argv) {
   const double dct_s = measure_dct();
   const double quant_s = measure_quant();
 
+  // Entropy: each image's blocks are one single-component scan, coded as
+  // the encoder codes a stripe: one batched nonzero-mask call, then the
+  // stripe coder.
   const jpeg::pipeline::CodecContext::StaticHuffman& huff = ctx.static_huffman();
+  jpeg::McuPattern gray_mcu;
+  gray_mcu.add(0, 0, 1);
+  jpeg::ScanTables gray_tables;
+  gray_tables.dc[0] = &huff.dc_luma;
+  gray_tables.ac[0] = &huff.ac_luma;
   std::vector<std::uint8_t> scratch;
+  std::vector<std::uint64_t> masks(blocks_per_image);
   const double entropy_s = best_of(repeats, [&] {
     for (std::size_t i = 0; i < ds.size(); ++i) {
       scratch.clear();
       jpeg::BitWriter bw(scratch);
-      int dc_pred = 0;
-      jpeg::encode_blocks(bw, quants[i].data(), quants[i].block_count(), dc_pred,
-                          huff.dc_luma, huff.ac_luma);
+      jpeg::ScanState scan;
+      simd::kernels().nonzero_masks_i16(quants[i].data(), blocks_per_image, masks.data());
+      jpeg::encode_stripe(bw, quants[i].data(), masks.data(),
+                          static_cast<int>(blocks_per_image), gray_mcu, gray_tables, 0, scan);
       bw.flush();
     }
   });
@@ -266,6 +441,8 @@ int main(int argc, char** argv) {
   }
   simd::set_level(ambient_level);
 
+  const std::vector<WritePathRow> write_rows = measure_write_path(10 * repeats);
+
   const double mblk = static_cast<double>(total_blocks) / 1e6;
   bench::JsonWriter json("BENCH_codec_pipeline");
   json.field("bench", "codec_pipeline");
@@ -279,10 +456,7 @@ int main(int argc, char** argv) {
   const struct {
     const char* name;
     double s;
-  // "quant_zigzag" is the committed baseline's key for the quantize row
-  // (natural order since the zig-zag permute moved into the entropy coder).
-  } stages[] = {{"tile", tile_s}, {"dct", dct_s}, {"quant_zigzag", quant_s},
-                {"entropy", entropy_s}};
+  } stages[] = {{"tile", tile_s}, {"dct", dct_s}, {"quant", quant_s}, {"entropy", entropy_s}};
   for (const auto& st : stages) {
     json.begin_object();
     json.field("stage", st.name);
@@ -333,7 +507,7 @@ int main(int argc, char** argv) {
     json.field("level", simd::level_name(row.level));
     json.field("tile_mblocks_per_s", mblk / row.tile_s);
     json.field("dct_mblocks_per_s", mblk / row.dct_s);
-    json.field("quant_zigzag_mblocks_per_s", mblk / row.quant_s);
+    json.field("quant_mblocks_per_s", mblk / row.quant_s);
     json.field("dequant_idct_mblocks_per_s", mblk / row.idct_s);
     json.end_object();
   }
@@ -346,11 +520,36 @@ int main(int argc, char** argv) {
     const std::string prefix = simd::level_name(row.level);
     json.field(prefix + "_tile_speedup_vs_scalar", scalar_row->tile_s / row.tile_s);
     json.field(prefix + "_dct_speedup_vs_scalar", scalar_row->dct_s / row.dct_s);
-    json.field(prefix + "_quant_zigzag_speedup_vs_scalar",
-               scalar_row->quant_s / row.quant_s);
+    json.field(prefix + "_quant_speedup_vs_scalar", scalar_row->quant_s / row.quant_s);
     json.field(prefix + "_dequant_idct_speedup_vs_scalar",
                scalar_row->idct_s / row.idct_s);
   }
+
+  // The write path, single thread: our encode and its stages, and
+  // libjpeg's when it was found at configure time.
+  json.begin_array("write_path");
+  for (const WritePathRow& row : write_rows) {
+    json.begin_object();
+    json.field("codec", row.codec);
+    json.field("width", 1024);
+    json.field("height", 1024);
+    json.field("subsampling", "444");
+    json.field("runs", 10 * repeats);
+    json.field("encode_s_median", row.median_s);
+    json.field("encode_s_min", row.min_s);
+    json.field("bytes", row.bytes);
+    if (row.has_stages) {
+      json.field("tile_s_median", row.stage_s[0]);
+      json.field("dct_s_median", row.stage_s[1]);
+      json.field("quant_s_median", row.stage_s[2]);
+      json.field("entropy_s_median", row.stage_s[3]);
+    }
+    json.end_object();
+  }
+  json.end_array();
+  if (write_rows.size() > 1)
+    json.field("write_path_vs_libjpeg_turbo_islow",
+               write_rows[0].median_s / write_rows[1].median_s);
 
   std::printf("codec pipeline, %zu images %dx%d, q=%d, repeats=%d\n", ds.size(),
               gen_cfg.width, gen_cfg.height, enc_cfg.quality, repeats);
@@ -381,6 +580,17 @@ int main(int argc, char** argv) {
                 scalar_row->dct_s / widest.dct_s, scalar_row->quant_s / widest.quant_s,
                 scalar_row->idct_s / widest.idct_s);
   }
+  std::printf("  write path, 1024x1024 4:4:4 DeepN table, single thread, median of %d:\n",
+              10 * repeats);
+  for (const WritePathRow& row : write_rows) {
+    std::printf("    %-20s %7.3f ms (min %7.3f)  %zu bytes", row.codec, row.median_s * 1e3,
+                row.min_s * 1e3, row.bytes);
+    if (row.has_stages)
+      std::printf("  tile %.3f  dct %.3f  quant %.3f  entropy %.3f ms", row.stage_s[0] * 1e3,
+                  row.stage_s[1] * 1e3, row.stage_s[2] * 1e3, row.stage_s[3] * 1e3);
+    std::printf("\n");
+  }
+  if (write_rows.size() == 1) std::printf("    (libjpeg not found at configure time)\n");
   std::printf("  wrote %s\n", json.path().c_str());
 
   if (!identical) {

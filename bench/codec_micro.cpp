@@ -76,13 +76,22 @@ void BM_HuffmanEncodeBlock(benchmark::State& state) {
       jpeg::quantize(random_block(4), jpeg::QuantTable::annex_k_luma());
   const jpeg::HuffmanEncoder dc(jpeg::HuffmanSpec::default_dc_luma());
   const jpeg::HuffmanEncoder ac(jpeg::HuffmanSpec::default_ac_luma());
+  // One block the way the encoder codes a stripe: its nonzero mask, then
+  // the stripe coder.
+  jpeg::McuPattern mcu;
+  mcu.add(0, 0, 1);
+  jpeg::ScanTables tables;
+  tables.dc[0] = &dc;
+  tables.ac[0] = &ac;
   std::vector<std::uint8_t> out;
   out.reserve(1 << 16);
   for (auto _ : state) {
     out.clear();
     jpeg::BitWriter bw(out);
-    int pred = 0;
-    jpeg::encode_block(bw, blk, pred, dc, ac);
+    std::uint64_t mask = 0;
+    simd::kernels().nonzero_masks_i16(blk.data(), 1, &mask);
+    jpeg::ScanState scan;
+    jpeg::encode_stripe(bw, blk.data(), &mask, 1, mcu, tables, 0, scan);
     bw.flush();
     benchmark::DoNotOptimize(out.data());
   }

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <stdexcept>
 
+#include "jpeg/markers.hpp"
 #include "jpeg/zigzag.hpp"
-#include "simd/dispatch.hpp"
 
 namespace dnj::jpeg {
 
@@ -90,7 +91,7 @@ namespace {
 
 // Scan-order nonzero masks, one table per byte of a natural-order mask:
 // kScanMask[j][b] has bit kInvZigzag[8j + i] set for every set bit i of b.
-// OR-ing the eight lookups turns nonzero_mask_i16_64's natural-order mask
+// OR-ing the eight lookups turns a nonzero_masks_i16 natural-order mask
 // into the zig-zag-order one. Integer table moves only, so the result is
 // the same at every SIMD level.
 struct ScanMaskTable {
@@ -120,13 +121,13 @@ inline int scan_coeff(const std::int16_t* block, int k) {
   return block[kZigzag[static_cast<std::size_t>(k)]];
 }
 
-// The shared per-block emit body: visits the set bits of `nonzero` (the
-// block's nonzero-lane mask in scan order), deriving each run length from
-// bit positions instead of walking 63 branchy lanes. ZRL batches
-// (run >= 16) go out as one packed multi-symbol write, and everything
-// funnels through the caller's BlockCursor so the bit state lives in
-// registers for the whole block. Emitted bits are identical to the forward
-// run-length walk of encode_block.
+// The per-block emit body of the stripe coder: visits the set bits of
+// `nonzero` (the block's nonzero-lane mask in scan order), deriving each
+// run length from bit positions instead of walking 63 branchy lanes. ZRL
+// batches (run >= 16) go out as one packed multi-symbol write, and
+// everything funnels through the caller's BlockCursor so the bit state
+// stays in registers. Emitted bits are identical to the forward run-length
+// walk of encode_block.
 inline void emit_block(BitWriter::BlockCursor& cur, const std::int16_t* block,
                        std::uint64_t nonzero, int& dc_pred, const HuffmanEncoder& dc_table,
                        const HuffmanEncoder& ac_table) {
@@ -156,40 +157,16 @@ inline void emit_block(BitWriter::BlockCursor& cur, const std::int16_t* block,
   if (prev != 63) ac_table.encode(cur, 0x00);  // EOB
 }
 
-}  // namespace
-
-void encode_block(BitWriter& bw, const std::int16_t* block, int& dc_pred,
-                  const HuffmanEncoder& dc_table, const HuffmanEncoder& ac_table) {
-  const std::uint64_t nonzero = scan_order_mask(simd::kernels().nonzero_mask_i16_64(block));
-  BitWriter::BlockCursor cur(bw);
-  emit_block(cur, block, nonzero, dc_pred, dc_table, ac_table);
-  cur.commit();
-}
-
-void encode_blocks(BitWriter& bw, const std::int16_t* blocks, std::size_t count,
-                   int& dc_pred, const HuffmanEncoder& dc_table,
-                   const HuffmanEncoder& ac_table) {
-  // One dispatch lookup and one cursor for the whole run: the per-block
-  // cost drops to a pointer-compare capacity check.
-  const auto nonzero_mask = simd::kernels().nonzero_mask_i16_64;
-  BitWriter::BlockCursor cur(bw);
-  for (std::size_t b = 0; b < count; ++b, blocks += 64) {
-    cur.reserve_block();
-    emit_block(cur, blocks, scan_order_mask(nonzero_mask(blocks)), dc_pred, dc_table,
-               ac_table);
-  }
-  cur.commit();
-}
-
-void count_block_symbols(const std::int16_t* block, int& dc_pred, SymbolCounts& counts) {
+// Statistics twin of emit_block: the same mask walk, so pass-1 counts match
+// the emitted symbols exactly.
+inline void count_block(const std::int16_t* block, std::uint64_t nonzero, int& dc_pred,
+                        SymbolCounts& counts) {
   const int dc = block[0];
   const int diff = dc - dc_pred;
   dc_pred = dc;
   ++counts.dc[static_cast<std::size_t>(bit_category(diff))];
 
-  // Mirrors encode_block's mask walk so pass-1 statistics match the
-  // emitted symbols exactly.
-  std::uint64_t ac = scan_order_mask(simd::kernels().nonzero_mask_i16_64(block)) & ~1ull;
+  std::uint64_t ac = nonzero & ~1ull;
   int prev = 0;
   while (ac != 0) {
     const int k = lowest_set_bit(ac);
@@ -203,6 +180,76 @@ void count_block_symbols(const std::int16_t* block, int& dc_pred, SymbolCounts& 
     ++counts.ac[static_cast<std::size_t>((run << 4) | bit_category(scan_coeff(block, k)))];
   }
   if (prev != 63) ++counts.ac[0x00];
+}
+
+// Splits a stripe's MCUs [0, mcus) into runs that no restart marker
+// interrupts and calls fn(rst, begin, end) for each, where rst is the
+// number (0-7) of the RSTn marker due before MCU `begin`, or -1 for none.
+// Advances `mcu_index` past the stripe.
+template <typename RunFn>
+void for_each_restart_run(int mcus, int restart_interval, int& mcu_index, RunFn&& fn) {
+  for (int m = 0; m < mcus;) {
+    int rst = -1;
+    int end = mcus;
+    if (restart_interval > 0) {
+      const int pos = mcu_index % restart_interval;
+      if (pos == 0 && mcu_index > 0) rst = (mcu_index / restart_interval - 1) % 8;
+      end = std::min(mcus, m + restart_interval - pos);
+    }
+    fn(rst, m, end);
+    mcu_index += end - m;
+    m = end;
+  }
+}
+
+}  // namespace
+
+void McuPattern::add(int component, std::size_t first, std::size_t step) {
+  if (count >= static_cast<int>(units.size()))
+    throw std::length_error("McuPattern: more than 10 data units per MCU");
+  units[static_cast<std::size_t>(count++)] = {component, first, step};
+}
+
+void encode_stripe(BitWriter& bw, const std::int16_t* blocks, const std::uint64_t* masks,
+                   int mcus, const McuPattern& pattern, const ScanTables& tables,
+                   int restart_interval, ScanState& state) {
+  for_each_restart_run(mcus, restart_interval, state.mcu_index,
+                       [&](int rst, int begin, int end) {
+    if (rst >= 0) {
+      bw.put_marker(static_cast<std::uint8_t>(kRST0 + rst));
+      state.dc_pred.fill(0);
+    }
+    BitWriter::BlockCursor cur(bw);
+    for (int m = begin; m < end; ++m) {
+      for (int u = 0; u < pattern.count; ++u) {
+        const McuUnit& unit = pattern.units[static_cast<std::size_t>(u)];
+        const std::size_t b = unit.first + static_cast<std::size_t>(m) * unit.step;
+        const auto c = static_cast<std::size_t>(unit.component);
+        cur.reserve_block();
+        emit_block(cur, blocks + b * 64, scan_order_mask(masks[b]), state.dc_pred[c],
+                   *tables.dc[c], *tables.ac[c]);
+      }
+    }
+    cur.commit();
+  });
+}
+
+void count_stripe_symbols(const std::int16_t* blocks, const std::uint64_t* masks, int mcus,
+                          const McuPattern& pattern,
+                          const std::array<SymbolCounts*, kMaxScanComponents>& counts,
+                          int restart_interval, ScanState& state) {
+  for_each_restart_run(mcus, restart_interval, state.mcu_index,
+                       [&](int rst, int begin, int end) {
+    if (rst >= 0) state.dc_pred.fill(0);
+    for (int m = begin; m < end; ++m) {
+      for (int u = 0; u < pattern.count; ++u) {
+        const McuUnit& unit = pattern.units[static_cast<std::size_t>(u)];
+        const std::size_t b = unit.first + static_cast<std::size_t>(m) * unit.step;
+        const auto c = static_cast<std::size_t>(unit.component);
+        count_block(blocks + b * 64, scan_order_mask(masks[b]), state.dc_pred[c], *counts[c]);
+      }
+    }
+  });
 }
 
 bool decode_block(BitReader& br, QuantizedBlock& block, int& dc_pred,

@@ -1,11 +1,14 @@
-// Per-block entropy coding (T.81 F.1.2/F.2.2): DC DPCM with magnitude
-// categories, AC run-length coding with ZRL and EOB, in zig-zag order over
-// natural-order (row-major) coefficient blocks.
+// Entropy coding of quantized blocks (T.81 F.1.2/F.2.2): DC DPCM with
+// magnitude categories, AC run-length coding with ZRL and EOB, in zig-zag
+// order over natural-order (row-major) coefficient blocks. The encoder
+// codes one stripe (MCU row) at a time through encode_stripe; the
+// QuantizedBlock forms are the per-block reference it is held to.
 // A statistics-gathering pass mirrors the emit pass so the encoder can build
 // optimal Huffman tables in two passes.
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 
@@ -40,7 +43,7 @@ struct SymbolCounts {
 
 /// Encodes one quantized block. `dc_pred` is the running DC predictor for
 /// the component and is updated in place. This form walks all 63 AC lanes
-/// in scan order: the per-block reference that the pointer forms below are
+/// in scan order: the per-block reference that the stripe coder below is
 /// held to.
 void encode_block(BitWriter& bw, const QuantizedBlock& block, int& dc_pred,
                   const HuffmanEncoder& dc_table, const HuffmanEncoder& ac_table);
@@ -49,24 +52,61 @@ void encode_block(BitWriter& bw, const QuantizedBlock& block, int& dc_pred,
 /// encoding). Updates `dc_pred` identically to encode_block.
 void count_block_symbols(const QuantizedBlock& block, int& dc_pred, SymbolCounts& counts);
 
-/// Encodes one block of 64 natural-order coefficients (the layout
-/// `quantize_batch` emits). The coder maps the block's nonzero-lane mask to
-/// scan order and visits only the nonzero coefficients, reading each
-/// through kZigzag. Emits exactly the bits of the QuantizedBlock form.
-void encode_block(BitWriter& bw, const std::int16_t* block, int& dc_pred,
-                  const HuffmanEncoder& dc_table, const HuffmanEncoder& ac_table);
+/// Components per scan (T.81 B.2.3: Ns <= 4).
+inline constexpr int kMaxScanComponents = 4;
 
-/// Encodes `count` consecutive natural-order blocks (64 int16 apiece,
-/// contiguous) with one register-resident bit cursor and one SIMD dispatch
-/// lookup for the whole run, instead of per block. Bitstream-identical to
-/// `count` encode_block calls. This is the single-component scan fast
-/// path; interleaved scans go block by block.
-void encode_blocks(BitWriter& bw, const std::int16_t* blocks, std::size_t count,
-                   int& dc_pred, const HuffmanEncoder& dc_table,
-                   const HuffmanEncoder& ac_table);
+/// One data unit of a scan's MCU, as the stripe coder walks a stripe: the
+/// scan component it belongs to (which picks its DC predictor and tables),
+/// the stripe block it reads in the stripe's first MCU, and how many blocks
+/// further on it reads in each following MCU.
+struct McuUnit {
+  int component = 0;
+  std::size_t first = 0;
+  std::size_t step = 0;
+};
 
-/// Statistics pass over a natural-order block, mirroring encode_block.
-void count_block_symbols(const std::int16_t* block, int& dc_pred, SymbolCounts& counts);
+/// The data units of one MCU in scan order (T.81 A.2.3), at most 10
+/// (B.2.3), held in place so building one allocates nothing.
+struct McuPattern {
+  std::array<McuUnit, 10> units{};
+  int count = 0;
+  /// Appends a unit; throws std::length_error past 10.
+  void add(int component, std::size_t first, std::size_t step);
+};
+
+/// A scan's Huffman tables, per scan component.
+struct ScanTables {
+  std::array<const HuffmanEncoder*, kMaxScanComponents> dc{};
+  std::array<const HuffmanEncoder*, kMaxScanComponents> ac{};
+};
+
+/// What a scan carries from one stripe to the next: the DC predictors and
+/// the count of MCUs coded so far, which places the restart markers.
+struct ScanState {
+  std::array<int, kMaxScanComponents> dc_pred{};
+  int mcu_index = 0;
+};
+
+/// Entropy-codes the `mcus` MCUs of one stripe in scan order. `blocks` are
+/// the stripe's natural-order quantized blocks (64 int16 apiece, laid out
+/// as `pattern` says) and `masks` their nonzero masks as
+/// simd::KernelTable::nonzero_masks_i16 computes them. The coder maps each
+/// mask to scan order and visits only the nonzero coefficients, through one
+/// register-resident BitWriter::BlockCursor for the stripe, committed early
+/// only to write a restart marker (RSTn before every `restart_interval`-th
+/// MCU of the scan; 0 = none). Emits exactly the bits of the QuantizedBlock
+/// encode_block walk, with the same markers and predictor resets.
+void encode_stripe(BitWriter& bw, const std::int16_t* blocks, const std::uint64_t* masks,
+                   int mcus, const McuPattern& pattern, const ScanTables& tables,
+                   int restart_interval, ScanState& state);
+
+/// Statistics pass over one stripe, mirroring encode_stripe: tallies each
+/// unit's symbols into `*counts[component]` and updates `state` as
+/// encode_stripe would.
+void count_stripe_symbols(const std::int16_t* blocks, const std::uint64_t* masks, int mcus,
+                          const McuPattern& pattern,
+                          const std::array<SymbolCounts*, kMaxScanComponents>& counts,
+                          int restart_interval, ScanState& state);
 
 /// Decodes one block into natural-order quantized coefficients. Returns
 /// false on a corrupt or truncated stream. Takes decode_block_fast when both

@@ -15,6 +15,7 @@
 #include "jpeg/markers.hpp"
 #include "jpeg/zigzag.hpp"
 #include "obs/trace.hpp"
+#include "simd/dispatch.hpp"
 
 namespace dnj::jpeg {
 
@@ -130,10 +131,9 @@ void write_sos_header(std::vector<std::uint8_t>& out, const Comp* comps,
 int ceil_div(int a, int b) { return (a + b - 1) / b; }
 
 // Walks MCUs in scan order invoking fn(component_index, grid_x, grid_y) for
-// every data unit, handling the restart bookkeeping via the callbacks.
-// `mcu_index` counts MCUs across calls, so a stripe loop can walk one MCU
-// row per call. Templated over the component record so the pipeline and
-// reference paths share one traversal (same bit-exact scan order).
+// every data unit, handling the restart bookkeeping via the callbacks: the
+// reference encoder's whole-frame traversal, which the pipeline's stripe
+// coder (encode_stripe) is held to.
 template <typename Comp, typename BlockFn, typename RestartFn>
 void for_each_data_unit(const Comp* comps, std::size_t n_comps, int mcus_x, int mcus_y,
                         int restart_interval, int& mcu_index, BlockFn&& fn,
@@ -165,22 +165,6 @@ void validate_config(PixelView img, const EncoderConfig& config) {
     throw std::invalid_argument("encode: channels must be 1 or 3");
   if (config.restart_interval < 0 || config.restart_interval > 65535)
     throw std::invalid_argument("encode: bad restart interval");
-}
-
-// Walks the data units of one stripe `q` (stripe layout, see Component) in
-// scan order: fn(component_index, block) for every block, restart(index)
-// before each MCU that opens a restart interval.
-template <typename BlockFn, typename RestartFn>
-void for_each_stripe_unit(const Component* comps, std::size_t n_comps, int mcus_x,
-                          int restart_interval, const std::int16_t* q, int& mcu_index,
-                          BlockFn&& fn, RestartFn&& restart) {
-  for_each_data_unit(
-      comps, n_comps, mcus_x, 1, restart_interval, mcu_index,
-      [&](std::size_t ci, int gx, int gy) {
-        const Component& c = comps[ci];
-        fn(ci, q + (c.offset + static_cast<std::size_t>(gy) * c.blocks_x + gx) * kBlockSize);
-      },
-      restart);
 }
 
 // Busy time of one encode per stage, summed across stripes. Clocks are read
@@ -322,39 +306,59 @@ std::vector<std::uint8_t> encode(PixelView img, const EncoderConfig& config,
   }
   const std::size_t total_blocks = stripe_blocks * static_cast<std::size_t>(mcus_y);
 
-  // Stripe buffers. Quantized stripes overwrite one another, except under
-  // optimize_huffman, where every stripe is kept for the statistics pass.
+  // The scan's MCU as the stripe coder walks it: each component's h x v
+  // blocks, `h` blocks further on per MCU.
+  McuPattern pattern;
+  for (std::size_t ci = 0; ci < n_comps; ++ci) {
+    const Component& c = comps[ci];
+    for (int by = 0; by < c.v; ++by)
+      for (int bx = 0; bx < c.h; ++bx)
+        pattern.add(static_cast<int>(ci),
+                    c.offset + static_cast<std::size_t>(by) * c.blocks_x + bx,
+                    static_cast<std::size_t>(c.h));
+  }
+
+  // Stripe buffers. Quantized stripes and their nonzero masks overwrite one
+  // another, except under optimize_huffman, where every stripe is kept for
+  // the statistics pass.
   pipeline::CoeffPlane& coeff = ctx.stripe_coeff;
   coeff.reshape(static_cast<int>(stripe_blocks), 1);
+  const int kept_stripes = config.optimize_huffman ? mcus_y : 1;
   pipeline::QuantPlane& quant = ctx.encode_quant;
-  quant.reshape(static_cast<int>(stripe_blocks), config.optimize_huffman ? mcus_y : 1);
-  const auto stripe_quant = [&](int my) {
-    const std::size_t row = config.optimize_huffman ? static_cast<std::size_t>(my) : 0;
-    return quant.data() + row * stripe_blocks * kBlockSize;
+  quant.reshape(static_cast<int>(stripe_blocks), kept_stripes);
+  ctx.encode_masks.resize(stripe_blocks * static_cast<std::size_t>(kept_stripes));
+  const auto stripe_row = [&](int my) {
+    return config.optimize_huffman ? static_cast<std::size_t>(my) * stripe_blocks : 0;
   };
+  const auto stripe_quant = [&](int my) { return quant.data() + stripe_row(my) * kBlockSize; };
+  const auto stripe_masks = [&](int my) { return ctx.encode_masks.data() + stripe_row(my); };
 
-  // Front end of stripe `my`: colour convert (grayscale tiles straight from
-  // the 8-bit pixels), tile with the level shift fused, transform, quantize
-  // into `out`. Tiling sees only the stripe's own rows, so the last stripe
+  // Front end of stripe `my`: colour convert and tile with the level shift
+  // fused (4:4:4 colour straight from the RGB pixels into blocks, grayscale
+  // from the 8-bit samples, 4:2:0 through float planes it can downsample),
+  // transform, quantize, and take the nonzero masks the entropy coder
+  // reads. Tiling sees only the stripe's own rows, so the last stripe
   // replicates the image's bottom row exactly as a whole-frame tiling would.
   const std::size_t row_bytes = static_cast<std::size_t>(img.width) * img.channels;
-  const auto front_end = [&](int my, std::int16_t* out) {
+  const auto front_end = [&](int my) {
     const int y0 = my * mcu_px;
     const PixelView rows(img.pixels + static_cast<std::size_t>(y0) * row_bytes, img.width,
                          std::min(mcu_px, img.height - y0), img.channels);
     float* blocks = coeff.data();
     if (!color) {
       image::tile_image_blocks_into(rows, 0, mcus_x, 1, blocks, -128.0f);
+    } else if (!sub420) {
+      simd::kernels().rgb_to_ycbcr_blocks(rows.pixels, rows.width, rows.height, mcus_x,
+                                          blocks + comps[0].offset * kBlockSize,
+                                          blocks + comps[1].offset * kBlockSize,
+                                          blocks + comps[2].offset * kBlockSize, -128.0f);
     } else {
       image::YCbCrPlanes& ycc = ctx.stripe_ycc;
       image::to_ycbcr_into(rows, ycc);
-      std::array<const PlaneF*, kMaxComponents> planes = {&ycc.y, &ycc.cb, &ycc.cr};
-      if (sub420) {
-        image::downsample_2x2_into(ycc.cb, ctx.stripe_chroma[0]);
-        image::downsample_2x2_into(ycc.cr, ctx.stripe_chroma[1]);
-        planes[1] = &ctx.stripe_chroma[0];
-        planes[2] = &ctx.stripe_chroma[1];
-      }
+      image::downsample_2x2_into(ycc.cb, ctx.stripe_chroma[0]);
+      image::downsample_2x2_into(ycc.cr, ctx.stripe_chroma[1]);
+      const std::array<const PlaneF*, kMaxComponents> planes = {
+          &ycc.y, &ctx.stripe_chroma[0], &ctx.stripe_chroma[1]};
       for (std::size_t ci = 0; ci < n_comps; ++ci)
         image::tile_blocks_into(*planes[ci], comps[ci].blocks_x, comps[ci].v,
                                 blocks + comps[ci].offset * kBlockSize, -128.0f);
@@ -362,6 +366,7 @@ std::vector<std::uint8_t> encode(PixelView img, const EncoderConfig& config,
     clock.lap(obs::Stage::kEncodeTile);
     fdct_batch(blocks, stripe_blocks);
     clock.lap(obs::Stage::kEncodeDct);
+    std::int16_t* out = stripe_quant(my);
     for (std::size_t ci = 0; ci < n_comps; ++ci) {
       const Component& c = comps[ci];
       quantize_batch(blocks + c.offset * kBlockSize,
@@ -369,6 +374,7 @@ std::vector<std::uint8_t> encode(PixelView img, const EncoderConfig& config,
                      out + c.offset * kBlockSize);
     }
     clock.lap(obs::Stage::kEncodeQuant);
+    simd::kernels().nonzero_masks_i16(out, stripe_blocks, stripe_masks(my));
   };
 
   // Huffman table specs: the context's cached static tables, or optimal
@@ -386,19 +392,17 @@ std::vector<std::uint8_t> encode(PixelView img, const EncoderConfig& config,
   HuffmanSpec opt_dc_luma, opt_ac_luma, opt_dc_chroma, opt_ac_chroma;
   std::optional<HuffmanEncoder> opt_enc[4];
   if (config.optimize_huffman) {
-    for (int my = 0; my < mcus_y; ++my) front_end(my, stripe_quant(my));
     std::array<SymbolCounts, 2> counts{};  // [0]=luma tables, [1]=chroma tables
-    std::array<int, kMaxComponents> dc_pred{};
-    int mcu_index = 0;
-    for (int my = 0; my < mcus_y; ++my)
-      for_each_stripe_unit(
-          comps.data(), n_comps, mcus_x, config.restart_interval, stripe_quant(my),
-          mcu_index,
-          [&](std::size_t ci, const std::int16_t* block) {
-            count_block_symbols(block, dc_pred[ci],
-                                counts[static_cast<std::size_t>(comps[ci].tq)]);
-          },
-          [&](int) { dc_pred.fill(0); });
+    std::array<SymbolCounts*, kMaxScanComponents> comp_counts{};
+    for (std::size_t ci = 0; ci < n_comps; ++ci)
+      comp_counts[ci] = &counts[static_cast<std::size_t>(comps[ci].tq)];
+    ScanState scan;
+    for (int my = 0; my < mcus_y; ++my) {
+      front_end(my);
+      count_stripe_symbols(stripe_quant(my), stripe_masks(my), mcus_x, pattern, comp_counts,
+                           config.restart_interval, scan);
+      clock.lap(obs::Stage::kEncodeEntropy);
+    }
     opt_dc_luma = HuffmanSpec::build_optimal(counts[0].dc);
     opt_ac_luma = HuffmanSpec::build_optimal(counts[0].ac);
     dc_luma = &opt_dc_luma;
@@ -443,30 +447,18 @@ std::vector<std::uint8_t> encode(PixelView img, const EncoderConfig& config,
   write_sos_header(out, comps.data(), n_comps);
   clock.lap(obs::Stage::kEncodeEntropy);
 
+  ScanTables tables;
+  for (std::size_t ci = 0; ci < n_comps; ++ci) {
+    const bool luma_tables = comps[ci].tq == 0;
+    tables.dc[ci] = luma_tables ? dc_enc_luma : dc_enc_chroma;
+    tables.ac[ci] = luma_tables ? ac_enc_luma : ac_enc_chroma;
+  }
   BitWriter bw(out);
-  std::array<int, kMaxComponents> dc_pred{};
-  int mcu_index = 0;
+  ScanState scan;
   for (int my = 0; my < mcus_y; ++my) {
-    if (!config.optimize_huffman) front_end(my, stripe_quant(my));
-    const std::int16_t* q = stripe_quant(my);
-    if (n_comps == 1 && config.restart_interval == 0) {
-      // Single-component scan without restarts: MCU order is block raster
-      // order, so a stripe is one contiguous block run — encode it through
-      // the batched cursor instead of per-block calls.
-      encode_blocks(bw, q, stripe_blocks, dc_pred[0], *dc_enc_luma, *ac_enc_luma);
-    } else {
-      for_each_stripe_unit(
-          comps.data(), n_comps, mcus_x, config.restart_interval, q, mcu_index,
-          [&](std::size_t ci, const std::int16_t* block) {
-            const bool luma_tables = comps[ci].tq == 0;
-            encode_block(bw, block, dc_pred[ci], luma_tables ? *dc_enc_luma : *dc_enc_chroma,
-                         luma_tables ? *ac_enc_luma : *ac_enc_chroma);
-          },
-          [&](int rst_index) {
-            bw.put_marker(static_cast<std::uint8_t>(kRST0 + rst_index));
-            dc_pred.fill(0);
-          });
-    }
+    if (!config.optimize_huffman) front_end(my);
+    encode_stripe(bw, stripe_quant(my), stripe_masks(my), mcus_x, pattern, tables,
+                  config.restart_interval, scan);
     clock.lap(obs::Stage::kEncodeEntropy);
   }
   bw.put_marker(kEOI);

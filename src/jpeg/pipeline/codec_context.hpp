@@ -7,10 +7,10 @@
 //    MCU row (a stripe of 8 pixel rows, 16 for 4:2:0) at a time: it colour
 //    converts, tiles, transforms, quantizes and entropy-codes a stripe
 //    before the next one starts, so its buffers hold one stripe and grow
-//    with the image width, not its area (about 250 KB for a 1024-wide
+//    with the image width, not its area (about 150 KB for a 1024-wide
 //    4:4:4 frame). Only optimize_huffman, which needs every symbol count
 //    before the first bit, keeps the whole frame's quantized blocks (2
-//    bytes per coefficient). A warm context *encodes* with no allocation
+//    bytes per coefficient) and their nonzero masks. A warm context *encodes* with no allocation
 //    besides the returned byte vector. Decode batches through whole-frame
 //    coefficient stores, and colour reconstruction runs row by row through
 //    a small chroma row ring (`decode_rows`), so once warm the returned
@@ -99,12 +99,18 @@ class CodecContext {
   const ReuseCounters& reuse_counters() const { return counters_; }
 
   // --- encode-side stripe buffers (one MCU row) --------------------------
-  image::YCbCrPlanes stripe_ycc;               ///< the stripe's colour planes
+  /// A 4:2:0 stripe's full-resolution colour planes, which it downsamples.
+  /// 4:4:4 colour converts straight into `stripe_coeff`'s blocks instead.
+  image::YCbCrPlanes stripe_ycc;
   std::array<image::PlaneF, 2> stripe_chroma;  ///< its 4:2:0 downsampled Cb/Cr
-  CoeffPlane stripe_coeff;  ///< its float blocks, components back to back
+  CoeffPlane stripe_coeff;  ///< the stripe's float blocks, components back to back
   /// Quantized natural-order blocks in stripe layout: one stripe, or every
   /// stripe of the frame under optimize_huffman.
   QuantPlane encode_quant;
+  /// One nonzero-lane mask per block of `encode_quant` (8 bytes per 128
+  /// bytes of coefficients), from one nonzero_masks_i16 call per stripe;
+  /// the Huffman statistics pass and the entropy coder both read them.
+  std::vector<std::uint64_t> encode_masks;
 
   // --- decode-side arenas -------------------------------------------------
   std::array<QuantPlane, kMaxComponents> decode_coeffs;  ///< natural-order int16

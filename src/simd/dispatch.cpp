@@ -53,6 +53,7 @@ void overlay(KernelTable& dst, const KernelTable& src) {
   if (src.tile_u8) dst.tile_u8 = src.tile_u8;
   if (src.untile_f32) dst.untile_f32 = src.untile_f32;
   if (src.rgb_to_ycbcr) dst.rgb_to_ycbcr = src.rgb_to_ycbcr;
+  if (src.rgb_to_ycbcr_blocks) dst.rgb_to_ycbcr_blocks = src.rgb_to_ycbcr_blocks;
   if (src.ycbcr_to_rgb_row) dst.ycbcr_to_rgb_row = src.ycbcr_to_rgb_row;
   if (src.upsample_h2_row) dst.upsample_h2_row = src.upsample_h2_row;
   if (src.lerp_rows) dst.lerp_rows = src.lerp_rows;
@@ -61,7 +62,7 @@ void overlay(KernelTable& dst, const KernelTable& src) {
   if (src.quant_error_block) dst.quant_error_block = src.quant_error_block;
   if (src.gemm_acc) dst.gemm_acc = src.gemm_acc;
   if (src.gemm_at_acc) dst.gemm_at_acc = src.gemm_at_acc;
-  if (src.nonzero_mask_i16_64) dst.nonzero_mask_i16_64 = src.nonzero_mask_i16_64;
+  if (src.nonzero_masks_i16) dst.nonzero_masks_i16 = src.nonzero_masks_i16;
   if (src.stuff_bytes) dst.stuff_bytes = src.stuff_bytes;
   if (src.crc32) dst.crc32 = src.crc32;
 }

@@ -78,6 +78,14 @@ struct KernelTable {
   /// Interleaved RGB u8 -> planar float Y/Cb/Cr (JFIF BT.601), `n` pixels.
   void (*rgb_to_ycbcr)(const std::uint8_t* rgb, std::size_t n, float* y, float* cb,
                        float* cr);
+  /// One stripe of interleaved RGB u8 (`h` rows of `w` pixels, h in [1, 8],
+  /// rows contiguous) -> one row of `grid_bx` 8x8 Y, Cb and Cr blocks each:
+  /// rgb_to_ycbcr followed by tile_f32 of each plane, fused, with no float
+  /// planes in between. `bias` is added after the transform; columns past
+  /// w - 1 and rows past h - 1 replicate the last column and row, exactly
+  /// as tile_f32 does. Never reads past the stripe's last pixel.
+  void (*rgb_to_ycbcr_blocks)(const std::uint8_t* rgb, int w, int h, int grid_bx,
+                              float* y, float* cb, float* cr, float bias);
   /// One row of planar float Y/Cb/Cr -> interleaved RGB u8 with the
   /// clamp_u8 rounding rule (nearbyint, clamp to [0, 255]). Writes exactly
   /// 3 * n bytes.
@@ -105,11 +113,13 @@ struct KernelTable {
   void (*gemm_acc)(const float* a, const float* b, float* c, int m, int k, int n);
   /// C[m x n] += A^T * B with A stored [k x m] (k-major).
   void (*gemm_at_acc)(const float* a, const float* b, float* c, int m, int k, int n);
-  /// Nonzero-lane bitmask over one 64-entry int16 block: bit k set iff
-  /// v[k] != 0. Exact integer predicate, identical at every level — the
-  /// entropy coder maps it to scan order and iterates set bits instead of
-  /// walking 63 branchy lanes.
-  std::uint64_t (*nonzero_mask_i16_64)(const std::int16_t* v);
+  /// Nonzero-lane bitmasks over `count` contiguous 64-entry int16 blocks:
+  /// bit k of masks[b] is set iff blocks[64 * b + k] != 0. Exact integer
+  /// predicate, identical at every level. The entropy coder takes a
+  /// stripe's masks in one call, maps each to scan order and iterates set
+  /// bits instead of walking 63 branchy lanes.
+  void (*nonzero_masks_i16)(const std::int16_t* blocks, std::size_t count,
+                            std::uint64_t* masks);
   /// JPEG byte stuffing: copies `n` bytes from `src` to `dst`, inserting a
   /// 0x00 after every 0xFF. `dst` must have room for 2*n bytes. Returns the
   /// number of bytes written. Vector levels bulk-copy chunks with no 0xFF

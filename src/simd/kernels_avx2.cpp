@@ -14,6 +14,8 @@
 
 #include <immintrin.h>
 
+#include <cstdint>
+
 #include "image/color.hpp"
 #include "image/image.hpp"
 #include "jpeg/dct.hpp"
@@ -284,6 +286,46 @@ void rgb_to_ycbcr_avx2(const std::uint8_t* rgb, std::size_t n, float* y, float* 
   }
 }
 
+// Walks one block column at a time: each of its eight rows is one
+// load_rgb8, the transform and the bias add, and three 32-byte stores, so a
+// block row goes straight from the pixels to the blocks with no float plane
+// in between. Rows past h - 1 re-read the last row. Eight interleaved row
+// streams are more than the hardware prefetcher follows on its own, so each
+// row's pixels eight blocks ahead are prefetched.
+void rgb_to_ycbcr_blocks_avx2(const std::uint8_t* rgb, int w, int h, int grid_bx, float* y,
+                              float* cb, float* cr, float bias) {
+  constexpr int kBlockBytes = kBlockDim * 3;  // one block row of RGB pixels
+  constexpr int kPrefetchBlocks = 8;
+  const std::uint8_t* rows[kBlockDim];
+  for (int r = 0; r < kBlockDim; ++r)
+    rows[r] = rgb + static_cast<std::size_t>(std::min(r, h - 1)) * w * 3;
+  const V8 vb = V8::set1(bias);
+  const int full_bx = std::min(w / kBlockDim, grid_bx);
+  int bx = 0;
+  for (; bx < full_bx; ++bx) {
+    const std::size_t px = static_cast<std::size_t>(bx) * kBlockBytes;
+    const std::size_t o = static_cast<std::size_t>(bx) * kBlockSize;
+    for (int r = 0; r < kBlockDim; ++r) {
+      // An integer address: it may lie past the image, which a prefetch
+      // tolerates and pointer arithmetic does not.
+      const std::uintptr_t ahead =
+          reinterpret_cast<std::uintptr_t>(rows[r] + px) + kPrefetchBlocks * kBlockBytes;
+      _mm_prefetch(reinterpret_cast<const char*>(ahead), _MM_HINT_T0);
+      V8 vr, vg, vbl;
+      load_rgb8(rows[r] + px, &vr.v, &vg.v, &vbl.v);
+      V8 vy, vcb, vcr;
+      detail::ycbcr_from_rgb_vec(vr, vg, vbl, &vy, &vcb, &vcr);
+      (vy + vb).store(y + o + r * kBlockDim);
+      (vcb + vb).store(cb + o + r * kBlockDim);
+      (vcr + vb).store(cr + o + r * kBlockDim);
+    }
+  }
+  for (; bx < grid_bx; ++bx) {
+    const std::size_t o = static_cast<std::size_t>(bx) * kBlockSize;
+    detail::rgb_to_ycbcr_block(rgb, w, h, bx, y + o, cb + o, cr + o, bias);
+  }
+}
+
 // Rounds like image::clamp_u8 (nearbyint, clamp to [0, 255]) and returns
 // the int32 lanes.
 inline __m256i clamp_u8_vec(__m256 v) {
@@ -403,24 +445,27 @@ void gemm_at_acc_avx2(const float* a, const float* b, float* c, int m, int k, in
 
 // ------------------------------------------------------------- entropy I/O
 
-std::uint64_t nonzero_mask_i16_64_avx2(const std::int16_t* v) {
+void nonzero_masks_i16_avx2(const std::int16_t* blocks, std::size_t count,
+                            std::uint64_t* masks) {
   const __m256i zero = _mm256_setzero_si256();
-  std::uint64_t mask = 0;
-  for (int i = 0; i < 2; ++i) {
-    const __m256i lo =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i * 32));
-    const __m256i hi =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i * 32 + 16));
-    // Pack the zero-compares to one byte per int16 lane. packs works per
-    // 128-bit lane, so permute the qwords back into linear byte order
-    // before movemask. Pure integer compare, identical to scalar.
-    __m256i z = _mm256_packs_epi16(_mm256_cmpeq_epi16(lo, zero),
-                                   _mm256_cmpeq_epi16(hi, zero));
-    z = _mm256_permute4x64_epi64(z, _MM_SHUFFLE(3, 1, 2, 0));
-    const unsigned zeros = static_cast<unsigned>(_mm256_movemask_epi8(z));
-    mask |= static_cast<std::uint64_t>(~zeros) << (i * 32);
+  for (std::size_t b = 0; b < count; ++b, blocks += kBlockSize) {
+    std::uint64_t mask = 0;
+    for (int i = 0; i < 2; ++i) {
+      const __m256i lo =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(blocks + i * 32));
+      const __m256i hi =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(blocks + i * 32 + 16));
+      // Pack the zero-compares to one byte per int16 lane. packs works per
+      // 128-bit lane, so permute the qwords back into linear byte order
+      // before movemask. Pure integer compare, identical to scalar.
+      __m256i z = _mm256_packs_epi16(_mm256_cmpeq_epi16(lo, zero),
+                                     _mm256_cmpeq_epi16(hi, zero));
+      z = _mm256_permute4x64_epi64(z, _MM_SHUFFLE(3, 1, 2, 0));
+      const unsigned zeros = static_cast<unsigned>(_mm256_movemask_epi8(z));
+      mask |= static_cast<std::uint64_t>(~zeros) << (i * 32);
+    }
+    masks[b] = mask;
   }
-  return mask;
 }
 
 std::size_t stuff_bytes_avx2(const std::uint8_t* src, std::size_t n,
@@ -464,6 +509,7 @@ const KernelTable* avx2_kernels() {
       &tile_u8_avx2,
       &untile_f32_avx2,
       &rgb_to_ycbcr_avx2,
+      &rgb_to_ycbcr_blocks_avx2,
       &ycbcr_to_rgb_row_avx2,
       &upsample_h2_row_avx2,
       &lerp_rows_avx2,
@@ -472,7 +518,7 @@ const KernelTable* avx2_kernels() {
       &quant_error_block_avx2,
       &gemm_acc_avx2,
       &gemm_at_acc_avx2,
-      &nonzero_mask_i16_64_avx2,
+      &nonzero_masks_i16_avx2,
       &stuff_bytes_avx2,
       nullptr,  // crc32: the dispatcher installs the PCLMULQDQ fold
   };

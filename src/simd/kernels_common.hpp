@@ -18,6 +18,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "image/color.hpp"
+
 namespace dnj::simd::detail {
 
 inline constexpr int kBlockDim = 8;
@@ -67,6 +69,26 @@ static inline void tile_full_block_u8(const std::uint8_t* row, std::size_t row_s
   for (int y = 0; y < kBlockDim; ++y, row += row_stride, blk += kBlockDim)
     for (int x = 0; x < kBlockDim; ++x)
       blk[x] = static_cast<float>(row[static_cast<std::size_t>(x) * ch]) + bias;
+}
+
+/// Block column `bx` of rgb_to_ycbcr_blocks, one pixel at a time through
+/// image::rgb_to_ycbcr: the replicated pixel's transform plus `bias`. The
+/// scalar level's kernel body, and the vector levels' path for the blocks
+/// that overlap the right edge.
+static inline void rgb_to_ycbcr_block(const std::uint8_t* rgb, int w, int h, int bx,
+                                      float* y, float* cb, float* cr, float bias) {
+  for (int r = 0; r < kBlockDim; ++r) {
+    const std::uint8_t* row = rgb + static_cast<std::size_t>(std::min(r, h - 1)) * w * 3;
+    for (int x = 0; x < kBlockDim; ++x) {
+      const std::uint8_t* px =
+          row + static_cast<std::size_t>(std::min(bx * kBlockDim + x, w - 1)) * 3;
+      const auto ycc = image::rgb_to_ycbcr(px[0], px[1], px[2]);
+      const int k = r * kBlockDim + x;
+      y[k] = ycc[0] + bias;
+      cb[k] = ycc[1] + bias;
+      cr[k] = ycc[2] + bias;
+    }
+  }
 }
 
 // ------------------------------------------------------------------- CRC-32

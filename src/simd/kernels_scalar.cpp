@@ -111,6 +111,14 @@ void rgb_to_ycbcr_scalar(const std::uint8_t* rgb, std::size_t n, float* y, float
   }
 }
 
+void rgb_to_ycbcr_blocks_scalar(const std::uint8_t* rgb, int w, int h, int grid_bx,
+                                float* y, float* cb, float* cr, float bias) {
+  for (int bx = 0; bx < grid_bx; ++bx) {
+    const std::size_t o = static_cast<std::size_t>(bx) * kBlockSize;
+    detail::rgb_to_ycbcr_block(rgb, w, h, bx, y + o, cb + o, cr + o, bias);
+  }
+}
+
 void ycbcr_to_rgb_row_scalar(const float* y, const float* cb, const float* cr, int n,
                              std::uint8_t* rgb) {
   for (int i = 0; i < n; ++i) {
@@ -182,11 +190,14 @@ void gemm_at_acc_scalar(const float* a, const float* b, float* c, int m, int k,
   }
 }
 
-std::uint64_t nonzero_mask_i16_64_scalar(const std::int16_t* v) {
-  std::uint64_t mask = 0;
-  for (int k = 0; k < kBlockSize; ++k)
-    if (v[k] != 0) mask |= 1ull << k;
-  return mask;
+void nonzero_masks_i16_scalar(const std::int16_t* blocks, std::size_t count,
+                              std::uint64_t* masks) {
+  for (std::size_t b = 0; b < count; ++b, blocks += kBlockSize) {
+    std::uint64_t mask = 0;
+    for (int k = 0; k < kBlockSize; ++k)
+      if (blocks[k] != 0) mask |= 1ull << k;
+    masks[b] = mask;
+  }
 }
 
 std::size_t stuff_bytes_scalar(const std::uint8_t* src, std::size_t n,
@@ -212,6 +223,7 @@ const KernelTable* scalar_kernels() {
       &tile_u8_scalar,
       &untile_f32_scalar,
       &rgb_to_ycbcr_scalar,
+      &rgb_to_ycbcr_blocks_scalar,
       &ycbcr_to_rgb_row_scalar,
       &upsample_h2_row_scalar,
       &lerp_rows_scalar,
@@ -220,7 +232,7 @@ const KernelTable* scalar_kernels() {
       &quant_error_block_scalar,
       &gemm_acc_scalar,
       &gemm_at_acc_scalar,
-      &nonzero_mask_i16_64_scalar,
+      &nonzero_masks_i16_scalar,
       &stuff_bytes_scalar,
       &detail::crc32_slice8,
   };

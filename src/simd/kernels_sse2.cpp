@@ -231,30 +231,136 @@ void untile_f32_sse2(const float* src, int grid_bx, int grid_by, float* plane, i
 
 // ------------------------------------------------------------------- color
 
+// Three-way byte deinterleave of 16 RGB pixels (48 bytes, in a, f and b)
+// into their 16 R, G and B bytes, in registers. SSE2 has no pshufb, so this
+// follows libjpeg-turbo's jccolext-sse2: three rounds of shift-and-unpack
+// each halve the channel stride, leaving every channel's even and odd
+// pixels in separate halves, and one unpack per channel restores pixel
+// order. In the comments XY is channel X (0 = R, 1 = G, 2 = B) of pixel Y.
+inline void deinterleave_rgb16(__m128i a, __m128i f, __m128i b, __m128i* r, __m128i* g,
+                               __m128i* bl) {
+  // In:      a = (00 10 20 01 11 21 02 12 22 03 13 23 04 14 24 05)
+  //           f = (15 25 06 16 26 07 17 27 08 18 28 09 19 29 0A 1A)
+  //           b = (2A 0B 1B 2B 0C 1C 2C 0D 1D 2D 0E 1E 2E 0F 1F 2F)
+  __m128i t = _mm_srli_si128(a, 8);
+  a = _mm_unpackhi_epi8(_mm_slli_si128(a, 8), f);
+  t = _mm_unpacklo_epi8(t, b);
+  f = _mm_unpackhi_epi8(_mm_slli_si128(f, 8), b);
+  // Round 1: a = (00 08 10 18 20 28 01 09 11 19 21 29 02 0A 12 1A)
+  //          t = (22 2A 03 0B 13 1B 23 2B 04 0C 14 1C 24 2C 05 0D)
+  //          f = (15 1D 25 2D 06 0E 16 1E 26 2E 07 0F 17 1F 27 2F)
+  __m128i d = _mm_srli_si128(a, 8);
+  a = _mm_unpackhi_epi8(_mm_slli_si128(a, 8), t);
+  d = _mm_unpacklo_epi8(d, f);
+  t = _mm_unpackhi_epi8(_mm_slli_si128(t, 8), f);
+  // Round 2: a = (00 04 08 0C 10 14 18 1C 20 24 28 2C 01 05 09 0D)
+  //          d = (11 15 19 1D 21 25 29 2D 02 06 0A 0E 12 16 1A 1E)
+  //          t = (22 26 2A 2E 03 07 0B 0F 13 17 1B 1F 23 27 2B 2F)
+  __m128i e = _mm_srli_si128(a, 8);
+  a = _mm_unpackhi_epi8(_mm_slli_si128(a, 8), d);
+  e = _mm_unpacklo_epi8(e, t);
+  d = _mm_unpackhi_epi8(_mm_slli_si128(d, 8), t);
+  // Round 3: a = (00 02 04 06 08 0A 0C 0E 10 12 14 16 18 1A 1C 1E)
+  //          e = (20 22 24 26 28 2A 2C 2E 01 03 05 07 09 0B 0D 0F)
+  //          d = (11 13 15 17 19 1B 1D 1F 21 23 25 27 29 2B 2D 2F)
+  *r = _mm_unpacklo_epi8(a, _mm_srli_si128(e, 8));
+  *g = _mm_unpacklo_epi8(_mm_srli_si128(a, 8), d);
+  *bl = _mm_unpacklo_epi8(e, _mm_srli_si128(d, 8));
+}
+
+// Zero-extends 16 bytes to four float vectors (u8 -> float is exact).
+inline void widen_u8x16(__m128i v, V4 out[4]) {
+  const __m128i zero = _mm_setzero_si128();
+  const __m128i lo = _mm_unpacklo_epi8(v, zero);
+  const __m128i hi = _mm_unpackhi_epi8(v, zero);
+  out[0].v = _mm_cvtepi32_ps(_mm_unpacklo_epi16(lo, zero));
+  out[1].v = _mm_cvtepi32_ps(_mm_unpackhi_epi16(lo, zero));
+  out[2].v = _mm_cvtepi32_ps(_mm_unpacklo_epi16(hi, zero));
+  out[3].v = _mm_cvtepi32_ps(_mm_unpackhi_epi16(hi, zero));
+}
+
+// Y/Cb/Cr of N = 16 or 8 consecutive RGB pixels, as N / 4 vectors each
+// (lanes = pixels). Reads exactly 3 * N bytes: for 8 pixels, a 16-byte and
+// an 8-byte load, with the third register zero.
+template <int N>
+inline void ycbcr_from_rgb_sse2(const std::uint8_t* rgb, V4 y[], V4 cb[], V4 cr[]) {
+  static_assert(N == 16 || N == 8, "16 or 8 pixels");
+  const auto* p = reinterpret_cast<const __m128i*>(rgb);
+  __m128i r8, g8, b8;
+  deinterleave_rgb16(_mm_loadu_si128(p),
+                     N == 16 ? _mm_loadu_si128(p + 1)
+                             : _mm_loadl_epi64(reinterpret_cast<const __m128i*>(rgb + 16)),
+                     N == 16 ? _mm_loadu_si128(p + 2) : _mm_setzero_si128(), &r8, &g8, &b8);
+  V4 r[4], g[4], b[4];
+  widen_u8x16(r8, r);
+  widen_u8x16(g8, g);
+  widen_u8x16(b8, b);
+  for (int q = 0; q < N / 4; ++q)
+    detail::ycbcr_from_rgb_vec(r[q], g[q], b[q], &y[q], &cb[q], &cr[q]);
+}
+
 void rgb_to_ycbcr_sse2(const std::uint8_t* rgb, std::size_t n, float* y, float* cb,
                        float* cr) {
+  V4 vy[4], vcb[4], vcr[4];
   std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    // Deinterleave scalar (u8 -> float conversion is exact), transform
-    // vectorized — lanes = pixels.
-    alignas(16) float r4[4], g4[4], b4[4];
-    for (int p = 0; p < 4; ++p) {
-      r4[p] = static_cast<float>(rgb[(i + p) * 3]);
-      g4[p] = static_cast<float>(rgb[(i + p) * 3 + 1]);
-      b4[p] = static_cast<float>(rgb[(i + p) * 3 + 2]);
+  for (; i + 16 <= n; i += 16) {
+    ycbcr_from_rgb_sse2<16>(rgb + i * 3, vy, vcb, vcr);
+    for (int q = 0; q < 4; ++q) {
+      vy[q].store(y + i + 4 * q);
+      vcb[q].store(cb + i + 4 * q);
+      vcr[q].store(cr + i + 4 * q);
     }
-    V4 vy, vcb, vcr;
-    detail::ycbcr_from_rgb_vec(V4::load(r4), V4::load(g4), V4::load(b4), &vy, &vcb,
-                               &vcr);
-    vy.store(y + i);
-    vcb.store(cb + i);
-    vcr.store(cr + i);
+  }
+  if (i + 8 <= n) {
+    ycbcr_from_rgb_sse2<8>(rgb + i * 3, vy, vcb, vcr);
+    for (int q = 0; q < 2; ++q) {
+      vy[q].store(y + i + 4 * q);
+      vcb[q].store(cb + i + 4 * q);
+      vcr[q].store(cr + i + 4 * q);
+    }
+    i += 8;
   }
   for (; i < n; ++i) {
     const auto ycc = image::rgb_to_ycbcr(rgb[i * 3], rgb[i * 3 + 1], rgb[i * 3 + 2]);
     y[i] = ycc[0];
     cb[i] = ycc[1];
     cr[i] = ycc[2];
+  }
+}
+
+// Block columns bx .. bx + N / 8 - 1 of rgb_to_ycbcr_blocks: each of the
+// eight rows converts N pixels, whose four-lane groups land in the rows of
+// consecutive blocks.
+template <int N>
+inline void rgb_block_columns_sse2(const std::uint8_t* const rows[kBlockDim], int bx,
+                                   float* y, float* cb, float* cr, V4 bias) {
+  for (int r = 0; r < kBlockDim; ++r) {
+    V4 vy[4], vcb[4], vcr[4];
+    ycbcr_from_rgb_sse2<N>(rows[r] + static_cast<std::size_t>(bx) * kBlockDim * 3, vy, vcb,
+                           vcr);
+    for (int q = 0; q < N / 4; ++q) {
+      const std::size_t o = static_cast<std::size_t>(bx + q / 2) * kBlockSize +
+                            static_cast<std::size_t>(r * kBlockDim + (q & 1) * 4);
+      (vy[q] + bias).store(y + o);
+      (vcb[q] + bias).store(cb + o);
+      (vcr[q] + bias).store(cr + o);
+    }
+  }
+}
+
+void rgb_to_ycbcr_blocks_sse2(const std::uint8_t* rgb, int w, int h, int grid_bx, float* y,
+                              float* cb, float* cr, float bias) {
+  const std::uint8_t* rows[kBlockDim];
+  for (int r = 0; r < kBlockDim; ++r)
+    rows[r] = rgb + static_cast<std::size_t>(std::min(r, h - 1)) * w * 3;
+  const V4 vb = V4::set1(bias);
+  const int full_bx = std::min(w / kBlockDim, grid_bx);
+  int bx = 0;
+  for (; bx + 2 <= full_bx; bx += 2) rgb_block_columns_sse2<16>(rows, bx, y, cb, cr, vb);
+  if (bx < full_bx) rgb_block_columns_sse2<8>(rows, bx++, y, cb, cr, vb);
+  for (; bx < grid_bx; ++bx) {
+    const std::size_t o = static_cast<std::size_t>(bx) * kBlockSize;
+    detail::rgb_to_ycbcr_block(rgb, w, h, bx, y + o, cb + o, cr + o, bias);
   }
 }
 
@@ -385,24 +491,27 @@ void gemm_at_acc_sse2(const float* a, const float* b, float* c, int m, int k, in
 
 // ------------------------------------------------------------- entropy I/O
 
-std::uint64_t nonzero_mask_i16_64_sse2(const std::int16_t* v) {
+void nonzero_masks_i16_sse2(const std::int16_t* blocks, std::size_t count,
+                            std::uint64_t* masks) {
   const __m128i zero = _mm_setzero_si128();
-  std::uint64_t mask = 0;
-  for (int i = 0; i < 4; ++i) {
-    const __m128i lo =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(v + i * 16));
-    const __m128i hi =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(v + i * 16 + 8));
-    // Zero lanes compare to 0xFFFF; packing the two compares yields one
-    // 0xFF/0x00 byte per int16 lane, movemask extracts those to bits and
-    // the complement is the nonzero mask. Pure integer compare: identical
-    // to the scalar predicate for every input.
-    const __m128i z =
-        _mm_packs_epi16(_mm_cmpeq_epi16(lo, zero), _mm_cmpeq_epi16(hi, zero));
-    const unsigned zeros = static_cast<unsigned>(_mm_movemask_epi8(z));
-    mask |= static_cast<std::uint64_t>(~zeros & 0xFFFFu) << (i * 16);
+  for (std::size_t b = 0; b < count; ++b, blocks += kBlockSize) {
+    std::uint64_t mask = 0;
+    for (int i = 0; i < 4; ++i) {
+      const __m128i lo =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks + i * 16));
+      const __m128i hi =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks + i * 16 + 8));
+      // Zero lanes compare to 0xFFFF; packing the two compares yields one
+      // 0xFF/0x00 byte per int16 lane, movemask extracts those to bits and
+      // the complement is the nonzero mask. Pure integer compare: identical
+      // to the scalar predicate for every input.
+      const __m128i z =
+          _mm_packs_epi16(_mm_cmpeq_epi16(lo, zero), _mm_cmpeq_epi16(hi, zero));
+      const unsigned zeros = static_cast<unsigned>(_mm_movemask_epi8(z));
+      mask |= static_cast<std::uint64_t>(~zeros & 0xFFFFu) << (i * 16);
+    }
+    masks[b] = mask;
   }
-  return mask;
 }
 
 std::size_t stuff_bytes_sse2(const std::uint8_t* src, std::size_t n,
@@ -517,6 +626,7 @@ const KernelTable* sse2_kernels() {
       &tile_u8_sse2,
       &untile_f32_sse2,
       &rgb_to_ycbcr_sse2,
+      &rgb_to_ycbcr_blocks_sse2,
       &ycbcr_to_rgb_row_sse2,
       &upsample_h2_row_sse2,
       &lerp_rows_sse2,
@@ -525,7 +635,7 @@ const KernelTable* sse2_kernels() {
       &quant_error_block_sse2,
       &gemm_acc_sse2,
       &gemm_at_acc_sse2,
-      &nonzero_mask_i16_64_sse2,
+      &nonzero_masks_i16_sse2,
       &stuff_bytes_sse2,
       nullptr,  // crc32: the dispatcher installs the PCLMULQDQ fold
   };

@@ -17,9 +17,9 @@
 //    façade), never hang, crash or read out of bounds; legal fill bytes
 //    before a restart marker must decode. Run under the
 //    ASan/UBSan CI legs like every other test.
-//  * Batched emission — encode_blocks must emit byte-identical streams
-//    to per-block encode_block, and the BlockCursor must match the
-//    BitWriter bit for bit.
+//  * Stripe emission — encode_stripe must emit byte-identical streams to
+//    the per-block encode_block walk, restart markers included, and the
+//    BlockCursor must match the BitWriter bit for bit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -34,6 +34,7 @@
 #include "jpeg/codec.hpp"
 #include "jpeg/pipeline/codec_context.hpp"
 #include "jpeg/zigzag.hpp"
+#include "simd/dispatch.hpp"
 
 namespace dnj::jpeg {
 namespace {
@@ -784,27 +785,86 @@ std::vector<std::int16_t> emission_plane(std::uint64_t seed, std::size_t blocks)
   return plane;
 }
 
-TEST(BatchEncode, MatchesPerBlockBitstream) {
+TEST(BatchEncode, StripeCoderMatchesPerBlockReference) {
+  // Stripes of gray, 4:4:4 and 4:2:0 MCUs (7 per stripe, three stripes)
+  // through encode_stripe, against the QuantizedBlock encode_block walk in
+  // scan order with the same RSTn markers and predictor resets. Restart
+  // intervals 1-5 end mid-stripe and carry across stripe boundaries.
+  struct Comp {
+    int h, v;
+    bool luma;
+  };
+  struct Layout {
+    const char* name;
+    std::vector<Comp> comps;
+  };
+  const Layout layouts[] = {{"gray", {{1, 1, true}}},
+                            {"444", {{1, 1, true}, {1, 1, false}, {1, 1, false}}},
+                            {"420", {{2, 2, true}, {1, 1, false}, {1, 1, false}}}};
+  constexpr int kMcus = 7;
+  constexpr int kStripes = 3;
   pipeline::CodecContext ctx;
   const auto& huff = ctx.static_huffman();
-  for (const std::uint64_t seed : {31ull, 32ull, 33ull}) {
-    for (const std::size_t blocks : {std::size_t{1}, std::size_t{7}, std::size_t{160}}) {
-      const std::vector<std::int16_t> plane = emission_plane(seed, blocks);
-      std::vector<std::uint8_t> per_block, batched;
+  for (const Layout& layout : layouts) {
+    std::vector<std::size_t> offset;
+    std::size_t stripe_blocks = 0;
+    McuPattern pattern;
+    ScanTables tables;
+    for (std::size_t c = 0; c < layout.comps.size(); ++c) {
+      const Comp& comp = layout.comps[c];
+      offset.push_back(stripe_blocks);
+      for (int by = 0; by < comp.v; ++by)
+        for (int bx = 0; bx < comp.h; ++bx)
+          pattern.add(static_cast<int>(c),
+                      stripe_blocks + static_cast<std::size_t>(by * comp.h * kMcus + bx),
+                      static_cast<std::size_t>(comp.h));
+      stripe_blocks += static_cast<std::size_t>(comp.h * comp.v * kMcus);
+      tables.dc[c] = comp.luma ? &huff.dc_luma : &huff.dc_chroma;
+      tables.ac[c] = comp.luma ? &huff.ac_luma : &huff.ac_chroma;
+    }
+    std::vector<std::vector<std::int16_t>> stripes;
+    for (int s = 0; s < kStripes; ++s)
+      stripes.push_back(emission_plane(50 + static_cast<std::uint64_t>(s), stripe_blocks));
+
+    for (int restart = 0; restart <= 5; ++restart) {
+      std::vector<std::uint8_t> reference, stripe_coded;
       {
-        BitWriter bw(per_block);
-        int dc_pred = 0;
-        for (std::size_t b = 0; b < blocks; ++b)
-          encode_block(bw, plane.data() + b * 64, dc_pred, huff.dc_luma, huff.ac_luma);
+        BitWriter bw(reference);
+        std::array<int, kMaxScanComponents> dc_pred{};
+        int mcu_index = 0;
+        for (const std::vector<std::int16_t>& q : stripes) {
+          for (int mx = 0; mx < kMcus; ++mx, ++mcu_index) {
+            if (restart > 0 && mcu_index > 0 && mcu_index % restart == 0) {
+              bw.put_marker(static_cast<std::uint8_t>(0xD0 + (mcu_index / restart - 1) % 8));
+              dc_pred.fill(0);
+            }
+            for (std::size_t c = 0; c < layout.comps.size(); ++c) {
+              const Comp& comp = layout.comps[c];
+              for (int by = 0; by < comp.v; ++by)
+                for (int bx = 0; bx < comp.h; ++bx) {
+                  const std::size_t b = offset[c] +
+                                        static_cast<std::size_t>(by * comp.h * kMcus) +
+                                        static_cast<std::size_t>(mx * comp.h + bx);
+                  QuantizedBlock blk;
+                  std::copy_n(q.data() + b * 64, 64, blk.data());
+                  encode_block(bw, blk, dc_pred[c], *tables.dc[c], *tables.ac[c]);
+                }
+            }
+          }
+        }
         bw.flush();
       }
       {
-        BitWriter bw(batched);
-        int dc_pred = 0;
-        encode_blocks(bw, plane.data(), blocks, dc_pred, huff.dc_luma, huff.ac_luma);
+        BitWriter bw(stripe_coded);
+        ScanState scan;
+        std::vector<std::uint64_t> masks(stripe_blocks);
+        for (const std::vector<std::int16_t>& q : stripes) {
+          simd::kernels().nonzero_masks_i16(q.data(), stripe_blocks, masks.data());
+          encode_stripe(bw, q.data(), masks.data(), kMcus, pattern, tables, restart, scan);
+        }
         bw.flush();
       }
-      EXPECT_EQ(per_block, batched) << "seed=" << seed << " blocks=" << blocks;
+      EXPECT_EQ(stripe_coded, reference) << layout.name << " restart=" << restart;
     }
   }
 }

@@ -269,7 +269,12 @@ INSTANTIATE_TEST_SUITE_P(
                       PipelineCase{1024, 24, 3, Subsampling::k444, false, 0, true},
                       PipelineCase{1030, 23, 3, Subsampling::k444, false, 129},
                       PipelineCase{257, 35, 1, Subsampling::k444, true, 33},
-                      PipelineCase{66, 50, 3, Subsampling::k420, true, 5}));
+                      PipelineCase{66, 50, 3, Subsampling::k420, true, 5},
+                      // A single-component scan with restarts through the
+                      // stripe coder's cursor, and the fused colour kernel
+                      // over a partial block column and a short last stripe.
+                      PipelineCase{257, 35, 1, Subsampling::k444, false, 7},
+                      PipelineCase{1030, 23, 3, Subsampling::k444, false, 0, true}));
 
 TEST(PipelineEquivalenceExtra, CustomSixteenBitTables) {
   std::array<std::uint16_t, 64> steps{};
@@ -526,14 +531,19 @@ std::vector<std::uint8_t> flat_stream_with_sampling(int w, int h,
   const int mcus = ((w + 8 * max_h - 1) / (8 * max_h)) * ((h + 8 * max_v - 1) / (8 * max_v));
   CodecContext ctx;
   const CodecContext::StaticHuffman& huff = ctx.static_huffman();
+  // Every data unit of every MCU reads the one zero block (step 0).
   const std::array<std::int16_t, kBlockSize> zero{};
-  std::array<int, 3> dc_pred{};
+  const std::uint64_t zero_mask = 0;
+  McuPattern pattern;
+  ScanTables tables;
+  for (std::size_t c = 0; c < 3; ++c) {
+    for (int b = 0; b < (hv[c] >> 4) * (hv[c] & 0x0F); ++b) pattern.add(static_cast<int>(c), 0, 0);
+    tables.dc[c] = c == 0 ? &huff.dc_luma : &huff.dc_chroma;
+    tables.ac[c] = c == 0 ? &huff.ac_luma : &huff.ac_chroma;
+  }
   BitWriter bw(out);
-  for (int m = 0; m < mcus; ++m)
-    for (std::size_t c = 0; c < 3; ++c)
-      for (int b = 0; b < (hv[c] >> 4) * (hv[c] & 0x0F); ++b)
-        encode_block(bw, zero.data(), dc_pred[c], c == 0 ? huff.dc_luma : huff.dc_chroma,
-                     c == 0 ? huff.ac_luma : huff.ac_chroma);
+  ScanState state;
+  encode_stripe(bw, zero.data(), &zero_mask, mcus, pattern, tables, 0, state);
   bw.flush();
   out.push_back(0xFF);
   out.push_back(0xD9);  // EOI

@@ -80,6 +80,9 @@ TEST(SimdDispatch, ForcedOverridesAndFallback) {
 
 TEST(SimdDispatch, KernelTableIsFullyPopulatedAtEveryLevel) {
   LevelRestorer restore;
+  ASSERT_TRUE(set_level(Level::kScalar));
+  const KernelTable scalar = kernels();
+  KernelTable below = scalar;
   for (Level l : supported_levels()) {
     ASSERT_TRUE(set_level(l));
     const KernelTable& k = kernels();
@@ -91,12 +94,28 @@ TEST(SimdDispatch, KernelTableIsFullyPopulatedAtEveryLevel) {
     EXPECT_NE(k.tile_u8, nullptr);
     EXPECT_NE(k.untile_f32, nullptr);
     EXPECT_NE(k.rgb_to_ycbcr, nullptr);
+    EXPECT_NE(k.rgb_to_ycbcr_blocks, nullptr);
     EXPECT_NE(k.ycbcr_to_rgb_row, nullptr);
+    EXPECT_NE(k.upsample_h2_row, nullptr);
+    EXPECT_NE(k.lerp_rows, nullptr);
     EXPECT_NE(k.f32_to_u8_row, nullptr);
     EXPECT_NE(k.sum_sq_diff_u8, nullptr);
     EXPECT_NE(k.quant_error_block, nullptr);
     EXPECT_NE(k.gemm_acc, nullptr);
     EXPECT_NE(k.gemm_at_acc, nullptr);
+    EXPECT_NE(k.nonzero_masks_i16, nullptr);
+    EXPECT_NE(k.stuff_bytes, nullptr);
+    EXPECT_NE(k.crc32, nullptr);
+    static_assert(sizeof(KernelTable) == 20 * sizeof(void (*)()),
+                  "a new KernelTable slot needs its check above");
+    // The stripe encoder's two kernels have their own implementation at
+    // every vector level: a slot left out of dispatch.cpp's overlay would
+    // silently inherit the level below.
+    if (l != Level::kScalar) {
+      EXPECT_NE(k.rgb_to_ycbcr_blocks, below.rgb_to_ycbcr_blocks) << level_name(l);
+      EXPECT_NE(k.nonzero_masks_i16, below.nonzero_masks_i16) << level_name(l);
+    }
+    below = k;
   }
 }
 

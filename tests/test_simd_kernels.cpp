@@ -218,6 +218,51 @@ TEST(SimdKernels, ColorTransformsMatchScalarBitExact) {
   }
 }
 
+TEST(SimdKernels, RgbToYcbcrBlocksMatchesConvertThenTile) {
+  // The fused kernel against its definition: rgb_to_ycbcr into planes, then
+  // tile_f32 of each plane, both at the scalar level. Widths 1-67 and 1024
+  // cover every vector tail, the two-block SSE2 pairs and a partial last
+  // block column; heights 1-8 cover the short last stripe. The pixels sit
+  // on a heap buffer that ends at the stripe's last pixel, so an over-read
+  // trips the sanitizer legs.
+  std::mt19937_64 rng(0xB10C);
+  std::vector<int> widths;
+  for (int w = 1; w <= 67; ++w) widths.push_back(w);
+  widths.push_back(1024);
+  for (const int w : widths) {
+    for (int h = 1; h <= 8; ++h) {
+      const int gbx = (w + 7) / 8;
+      const std::size_t n = static_cast<std::size_t>(w) * h;
+      std::vector<std::uint8_t> px(3 * n);
+      for (std::uint8_t& v : px) v = static_cast<std::uint8_t>(rng());
+      const std::size_t blocks = static_cast<std::size_t>(gbx) * 64;
+
+      set_level(Level::kScalar);
+      std::vector<float> y(n), cb(n), cr(n);
+      kernels().rgb_to_ycbcr(px.data(), n, y.data(), cb.data(), cr.data());
+      std::vector<float> want(3 * blocks);
+      const float* planes[3] = {y.data(), cb.data(), cr.data()};
+      for (int c = 0; c < 3; ++c)
+        kernels().tile_f32(planes[c], w, h, gbx, 1, want.data() + c * blocks, -128.0f);
+
+      const auto run = [&] {
+        std::vector<float> got(3 * blocks);
+        kernels().rgb_to_ycbcr_blocks(px.data(), w, h, gbx, got.data(), got.data() + blocks,
+                                      got.data() + 2 * blocks, -128.0f);
+        return got;
+      };
+      const std::vector<float> scalar = run();
+      EXPECT_EQ(0, std::memcmp(scalar.data(), want.data(), want.size() * sizeof(float)))
+          << "level=scalar w=" << w << " h=" << h;
+      for_each_simd_level([&](Level l) {
+        const std::vector<float> got = run();
+        EXPECT_EQ(0, std::memcmp(got.data(), want.data(), want.size() * sizeof(float)))
+            << "level=" << level_name(l) << " w=" << w << " h=" << h;
+      });
+    }
+  }
+}
+
 // The colour-decode row kernels at widths 1-67: every vector tail of both
 // widths, both edge columns, and inputs outside [0, 255] that exercise the
 // clamp. Outputs are compared with memcmp, and guard cells past the row
@@ -419,15 +464,20 @@ TEST(SimdKernels, GemmAccMatchesScalarOnTailShapes) {
 }
 
 TEST(SimdKernels, NonzeroMaskI16MatchesReferencePredicate) {
+  // 64 blocks over five patterns, taken in batches of 0-9 blocks from every
+  // start, each batch copied to a heap buffer that ends at its last block.
   std::mt19937_64 rng(0x4A5);
-  for (int c = 0; c < 64; ++c) {
-    alignas(16) std::int16_t v[64] = {};
+  constexpr int kCases = 64;
+  std::vector<std::int16_t> all(kCases * 64, 0);
+  std::vector<std::uint64_t> expect(kCases, 0);
+  for (int c = 0; c < kCases; ++c) {
+    std::int16_t* v = all.data() + c * 64;
     switch (c % 5) {
       case 0:  // all zero
         break;
       case 1:  // dense random (some lanes still zero by chance)
-        for (std::int16_t& x : v)
-          x = static_cast<std::int16_t>(rng() % 7 == 0 ? 0 : rng());
+        for (int k = 0; k < 64; ++k)
+          v[k] = static_cast<std::int16_t>(rng() % 7 == 0 ? 0 : rng());
         break;
       case 2:  // single lane set, swept across the block
         v[c % 64] = 1;
@@ -438,19 +488,30 @@ TEST(SimdKernels, NonzeroMaskI16MatchesReferencePredicate) {
         v[63] = -1;
         break;
       case 4:  // every lane nonzero
-        for (std::int16_t& x : v) x = static_cast<std::int16_t>(rng() | 1);
+        for (int k = 0; k < 64; ++k) v[k] = static_cast<std::int16_t>(rng() | 1);
         break;
     }
-    std::uint64_t expect = 0;
     for (int k = 0; k < 64; ++k)
-      if (v[k] != 0) expect |= 1ull << k;
-    set_level(Level::kScalar);
-    EXPECT_EQ(kernels().nonzero_mask_i16_64(v), expect) << "scalar case=" << c;
-    for_each_simd_level([&](Level l) {
-      EXPECT_EQ(kernels().nonzero_mask_i16_64(v), expect)
-          << "level=" << level_name(l) << " case=" << c;
-    });
+      if (v[k] != 0) expect[static_cast<std::size_t>(c)] |= 1ull << k;
   }
+  const auto check = [&](const char* level) {
+    for (std::size_t count = 0; count <= 9; ++count) {
+      for (std::size_t start = 0; start + count <= kCases; ++start) {
+        const auto first = all.begin() + static_cast<long>(start * 64);
+        const std::vector<std::int16_t> blocks(first, first + static_cast<long>(count * 64));
+        // One guard mask past the batch must stay untouched.
+        std::vector<std::uint64_t> masks(count + 1, 0xA5A5A5A5A5A5A5A5ull);
+        kernels().nonzero_masks_i16(blocks.data(), count, masks.data());
+        for (std::size_t b = 0; b < count; ++b)
+          EXPECT_EQ(masks[b], expect[start + b])
+              << level << " count=" << count << " block=" << start + b;
+        EXPECT_EQ(masks[count], 0xA5A5A5A5A5A5A5A5ull) << level << " count=" << count;
+      }
+    }
+  };
+  set_level(Level::kScalar);
+  check("scalar");
+  for_each_simd_level([&](Level l) { check(level_name(l)); });
 }
 
 TEST(SimdKernels, StuffBytesMatchesReferenceOnFfPatterns) {
