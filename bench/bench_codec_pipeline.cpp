@@ -9,15 +9,19 @@
 // must produce byte-identical streams.
 //
 // The write-path row times one single-thread 1024x1024 4:4:4 encode with a
-// DeepN-designed table (the rgb1024-deepn shape), whole and per stage. When
-// CMake found libjpeg at configure time, libjpeg's islow encode of the same
-// frame with the same tables and static Huffman coding runs beside it as a
-// yardstick. Reported, not gated.
+// DeepN-designed table (the rgb1024-deepn shape), whole and per stage. The
+// read-path row times single-thread decodes of 224x224 4:2:0 q85 streams
+// (the rgb224-decode shape), whole and their coefficient half. When
+// CMake found libjpeg at configure time, libjpeg's islow codec runs beside
+// each on the same input (for the encode, the same tables and static
+// Huffman coding) as a yardstick. Reported, not gated.
 //
 // Usage: bench_codec_pipeline [num_images] [repeats]
 //   num_images — dataset size (default 256)
-//   repeats    — timed repetitions per measurement; best run reported
-//                (default 3; use 1 for a CI smoke run)
+//   repeats    — timed samples per measurement; best sample reported
+//                (default 3; use 1 for a CI smoke run). Each sample repeats
+//                its body for at least 20 ms; the write- and read-path rows
+//                instead report the median of 10x / 30x `repeats` runs.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -51,15 +55,34 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
-template <typename Fn>
-double best_of(int repeats, Fn&& fn) {
+// Seconds per call of `fn`, best of `repeats` samples. Each sample calls
+// `fn` back to back until the calls add up to at least kMinSampleS, so a
+// sub-millisecond body is not timed by one call. `restore` runs before
+// every call, outside the timed region: an in-place stage restores its
+// pristine input there, so it never transforms its own output.
+constexpr double kMinSampleS = 0.020;
+
+template <typename Fn, typename Restore>
+double best_of(int repeats, Fn&& fn, Restore&& restore) {
   double best = 1e100;
   for (int r = 0; r < repeats; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    best = std::min(best, seconds_since(t0));
+    double timed = 0;
+    int calls = 0;
+    do {
+      restore();
+      const auto t0 = std::chrono::steady_clock::now();
+      fn();
+      timed += seconds_since(t0);
+      ++calls;
+    } while (timed < kMinSampleS);
+    best = std::min(best, timed / calls);
   }
   return best;
+}
+
+template <typename Fn>
+double best_of(int repeats, Fn&& fn) {
+  return best_of(repeats, fn, [] {});
 }
 
 double median(std::vector<double> v) {
@@ -68,27 +91,28 @@ double median(std::vector<double> v) {
   return n % 2 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
 }
 
-// One codec's single-thread encode of the write-path frame: the median and
-// fastest of its timed encodes, the stream size, and (ours only) the
-// median of each stage's span over as many traced encodes.
-struct WritePathRow {
+// One codec's single-thread run over a yardstick input: the median and
+// fastest of its timed runs, the output size, and (the write path's own
+// encoder only) the median of each stage's span over as many traced
+// encodes.
+struct CodecRow {
   const char* codec = "";
-  std::function<std::size_t()> encode;  // returns the stream size
+  std::function<std::size_t()> run;  // returns the output size
   double median_s = 0, min_s = 0;
   std::size_t bytes = 0;
   bool has_stages = false;
   double stage_s[4] = {};  // tile (colour included), dct, quant, entropy
 };
 
-// Times `runs` encodes per row, alternating the rows run by run, so a
-// machine that slows down mid-measurement slows every codec alike.
-void time_encodes(std::vector<WritePathRow>& rows, int runs) {
+// Times `runs` runs per row, alternating the rows run by run, so a machine
+// that slows down mid-measurement slows every codec alike.
+void time_rows(std::vector<CodecRow>& rows, int runs) {
   std::vector<std::vector<double>> s(rows.size());
-  for (WritePathRow& row : rows) row.bytes = row.encode();  // warm-up
+  for (CodecRow& row : rows) row.bytes = row.run();  // warm-up
   for (int r = 0; r < runs; ++r)
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const auto t0 = std::chrono::steady_clock::now();
-      rows[i].encode();
+      rows[i].run();
       s[i].push_back(seconds_since(t0));
     }
   for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -158,10 +182,87 @@ std::size_t libjpeg_encode(const image::Image& img, const jpeg::QuantTable& tabl
   std::free(buf);
   return static_cast<std::size_t>(size);
 }
+
+// libjpeg's decode of `stream` to interleaved RGB: islow IDCT and the
+// library's default (fancy) upsampling. Returns the pixel byte count.
+std::size_t libjpeg_decode(const std::vector<std::uint8_t>& stream,
+                           std::vector<std::uint8_t>& pixels) {
+  jpeg_decompress_struct cinfo;
+  jpeg_error_mgr jerr;
+  cinfo.err = jpeg_std_error(&jerr);
+  jpeg_create_decompress(&cinfo);
+  jpeg_mem_src(&cinfo, stream.data(), static_cast<unsigned long>(stream.size()));
+  jpeg_read_header(&cinfo, TRUE);
+  cinfo.dct_method = JDCT_ISLOW;
+  jpeg_start_decompress(&cinfo);
+  const std::size_t row_bytes =
+      static_cast<std::size_t>(cinfo.output_width) * cinfo.output_components;
+  pixels.resize(row_bytes * cinfo.output_height);
+  while (cinfo.output_scanline < cinfo.output_height) {
+    JSAMPROW row = pixels.data() + row_bytes * cinfo.output_scanline;
+    jpeg_read_scanlines(&cinfo, &row, 1);
+  }
+  jpeg_finish_decompress(&cinfo);
+  jpeg_destroy_decompress(&cinfo);
+  return pixels.size();
+}
 #endif
 
+// rgb224-decode-shaped uploads, one per synthetic content class, since the
+// workload's pool mixes the classes and decode cost follows the content.
+constexpr int kReadStreams = data::kNumClassKinds;
+
+// The read-path rows over those uploads, one run decoding each once: our
+// decode, its coefficient half alone (decode_coefficients), and libjpeg's
+// decode when it was found.
+std::vector<CodecRow> measure_read_path(int runs) {
+  data::GeneratorConfig gen_cfg;
+  gen_cfg.width = 224;
+  gen_cfg.height = 224;
+  gen_cfg.channels = 3;
+  gen_cfg.seed = 0x224D;
+  const data::SyntheticDatasetGenerator gen(gen_cfg);
+  jpeg::EncoderConfig cfg;
+  cfg.quality = 85;
+  cfg.subsampling = jpeg::Subsampling::k420;
+  jpeg::pipeline::CodecContext ctx;
+  std::vector<std::vector<std::uint8_t>> streams;
+  for (int k = 0; k < kReadStreams; ++k)
+    streams.push_back(jpeg::encode(gen.render(static_cast<data::ClassKind>(k), 0), cfg, ctx));
+
+  std::vector<CodecRow> rows(2);
+  rows[0].codec = "dnj";
+  rows[0].run = [&] {
+    std::size_t n = 0;
+    for (const auto& stream : streams) n += jpeg::decode(stream, ctx, 1).data().size();
+    return n;
+  };
+  rows[1].codec = "dnj-coefficients";
+  rows[1].run = [&] {
+    for (const auto& stream : streams) (void)jpeg::decode_coefficients(stream, ctx, 1);
+    return std::size_t{0};
+  };
+#if defined(DNJ_HAVE_LIBJPEG)
+  std::vector<std::uint8_t> pixels;
+  rows.emplace_back();
+  rows[2].codec = "libjpeg-turbo-islow";
+  rows[2].run = [&] {
+    std::size_t n = 0;
+    for (const auto& stream : streams) n += libjpeg_decode(stream, pixels);
+    return n;
+  };
+#endif
+  time_rows(rows, runs);
+  // Per image from here on.
+  for (CodecRow& row : rows) {
+    row.median_s /= kReadStreams;
+    row.min_s /= kReadStreams;
+  }
+  return rows;
+}
+
 // The write-path rows: ours, and libjpeg's when it was found.
-std::vector<WritePathRow> measure_write_path(int runs) {
+std::vector<CodecRow> measure_write_path(int runs) {
   const image::Image frame = write_path_frame();
   data::GeneratorConfig design_cfg;
   design_cfg.channels = 3;
@@ -175,15 +276,15 @@ std::vector<WritePathRow> measure_write_path(int runs) {
   cfg.chroma_table = table;
 
   jpeg::pipeline::CodecContext ctx;
-  std::vector<WritePathRow> rows(1);
+  std::vector<CodecRow> rows(1);
   rows[0].codec = "dnj";
-  rows[0].encode = [&] { return jpeg::encode(frame, cfg, ctx).size(); };
+  rows[0].run = [&] { return jpeg::encode(frame, cfg, ctx).size(); };
 #if defined(DNJ_HAVE_LIBJPEG)
   rows.emplace_back();
   rows[1].codec = "libjpeg-turbo-islow";
-  rows[1].encode = [&] { return libjpeg_encode(frame, table); };
+  rows[1].run = [&] { return libjpeg_encode(frame, table); };
 #endif
-  time_encodes(rows, runs);
+  time_rows(rows, runs);
 
   // Per stage: the encoder's own stage spans, over as many traced encodes.
   obs::Tracer& tracer = obs::Tracer::instance();
@@ -255,9 +356,9 @@ int main(int argc, char** argv) {
 
   // Per-image working set so every stage runs over real per-image content
   // (entropy cost is content-dependent). The DCT inputs are restored from
-  // a pristine tiled copy before every timed repeat (untimed) so repeats
-  // never transform already-transformed data — the quant and entropy
-  // stages below see exactly one DCT application.
+  // a pristine tiled copy before every timed call (untimed) so calls never
+  // transform already-transformed data — the quant and entropy stages
+  // below see exactly one DCT application.
   std::vector<jpeg::pipeline::CoeffPlane> coeffs(ds.size());
   std::vector<jpeg::pipeline::CoeffPlane> tiled(ds.size());
   std::vector<jpeg::pipeline::QuantPlane> quants(ds.size());
@@ -269,7 +370,7 @@ int main(int argc, char** argv) {
 
   // Stage bodies shared by the ambient measurement below and the per-level
   // SIMD rows further down, so the timing discipline (pristine-copy restore
-  // before every DCT repeat, quant-then-idct pairing) exists exactly once.
+  // before every DCT call, quant-then-idct pairing) exists exactly once.
   const jpeg::ReciprocalTable recip(luma_q);
   // Plain local copy: structured bindings cannot be captured by lambdas in
   // C++17.
@@ -282,21 +383,21 @@ int main(int argc, char** argv) {
     });
   };
   // Restores the DCT inputs from the pristine tiled copy before every timed
-  // repeat (untimed) so repeats never transform already-transformed data —
-  // and leaves `coeffs` holding exactly one DCT application for the quant
-  // and entropy stages.
+  // call (untimed) so calls never transform already-transformed data — and
+  // leaves `coeffs` holding exactly one DCT application for the quant and
+  // entropy stages.
   const auto measure_dct = [&] {
-    double best = 1e100;
-    for (int r = 0; r < repeats; ++r) {
-      for (std::size_t i = 0; i < ds.size(); ++i)
-        std::copy(tiled[i].data(), tiled[i].data() + tiled[i].block_count() * 64,
-                  coeffs[i].data());
-      const auto t0 = std::chrono::steady_clock::now();
-      for (std::size_t i = 0; i < ds.size(); ++i)
-        jpeg::fdct_batch(coeffs[i].data(), coeffs[i].block_count());
-      best = std::min(best, seconds_since(t0));
-    }
-    return best;
+    return best_of(
+        repeats,
+        [&] {
+          for (std::size_t i = 0; i < ds.size(); ++i)
+            jpeg::fdct_batch(coeffs[i].data(), coeffs[i].block_count());
+        },
+        [&] {
+          for (std::size_t i = 0; i < ds.size(); ++i)
+            std::copy(tiled[i].data(), tiled[i].data() + tiled[i].block_count() * 64,
+                      coeffs[i].data());
+        });
   };
   const auto measure_quant = [&] {
     return best_of(repeats, [&] {
@@ -441,7 +542,9 @@ int main(int argc, char** argv) {
   }
   simd::set_level(ambient_level);
 
-  const std::vector<WritePathRow> write_rows = measure_write_path(10 * repeats);
+  const std::vector<CodecRow> write_rows = measure_write_path(10 * repeats);
+  const int read_runs = 30 * repeats;
+  const std::vector<CodecRow> read_rows = measure_read_path(read_runs);
 
   const double mblk = static_cast<double>(total_blocks) / 1e6;
   bench::JsonWriter json("BENCH_codec_pipeline");
@@ -528,7 +631,7 @@ int main(int argc, char** argv) {
   // The write path, single thread: our encode and its stages, and
   // libjpeg's when it was found at configure time.
   json.begin_array("write_path");
-  for (const WritePathRow& row : write_rows) {
+  for (const CodecRow& row : write_rows) {
     json.begin_object();
     json.field("codec", row.codec);
     json.field("width", 1024);
@@ -550,6 +653,29 @@ int main(int argc, char** argv) {
   if (write_rows.size() > 1)
     json.field("write_path_vs_libjpeg_turbo_islow",
                write_rows[0].median_s / write_rows[1].median_s);
+
+  // The read path, single thread, per image: our decode and its coefficient
+  // half (pixels = the rest), and libjpeg's decode when it was found.
+  json.begin_array("read_path");
+  for (const CodecRow& row : read_rows) {
+    json.begin_object();
+    json.field("codec", row.codec);
+    json.field("width", 224);
+    json.field("height", 224);
+    json.field("subsampling", "420");
+    json.field("quality", 85);
+    json.field("streams", kReadStreams);
+    json.field("runs", read_runs);
+    json.field("decode_s_median", row.median_s);
+    json.field("decode_s_min", row.min_s);
+    json.end_object();
+  }
+  json.end_array();
+  const double read_pixels_s = read_rows[0].median_s - read_rows[1].median_s;
+  json.field("read_path_pixels_s_median", read_pixels_s);
+  if (read_rows.size() > 2)
+    json.field("read_path_vs_libjpeg_turbo_islow",
+               read_rows[0].median_s / read_rows[2].median_s);
 
   std::printf("codec pipeline, %zu images %dx%d, q=%d, repeats=%d\n", ds.size(),
               gen_cfg.width, gen_cfg.height, enc_cfg.quality, repeats);
@@ -582,7 +708,7 @@ int main(int argc, char** argv) {
   }
   std::printf("  write path, 1024x1024 4:4:4 DeepN table, single thread, median of %d:\n",
               10 * repeats);
-  for (const WritePathRow& row : write_rows) {
+  for (const CodecRow& row : write_rows) {
     std::printf("    %-20s %7.3f ms (min %7.3f)  %zu bytes", row.codec, row.median_s * 1e3,
                 row.min_s * 1e3, row.bytes);
     if (row.has_stages)
@@ -591,6 +717,14 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
   if (write_rows.size() == 1) std::printf("    (libjpeg not found at configure time)\n");
+  std::printf("  read path, 224x224 4:2:0 q85 decode of %d streams, single thread, per image,"
+              " median of %d:\n",
+              kReadStreams, read_runs);
+  for (const CodecRow& row : read_rows)
+    std::printf("    %-20s %7.1f us (min %7.1f)\n", row.codec, row.median_s * 1e6,
+                row.min_s * 1e6);
+  std::printf("    %-20s %7.1f us (dnj - dnj-coefficients)\n", "dnj pixels",
+              read_pixels_s * 1e6);
   std::printf("  wrote %s\n", json.path().c_str());
 
   if (!identical) {

@@ -9,6 +9,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include "jobs/job_manager.hpp"
@@ -23,6 +24,9 @@ using Clock = std::chrono::steady_clock;
 
 constexpr std::uint64_t kListenerId = 1;
 constexpr std::uint64_t kWakeId = 2;
+
+// Frames gathered into one sendmsg; a longer queue takes further calls.
+constexpr std::size_t kMaxIov = 64;
 
 PollerBackend resolve_backend(PollerBackend configured) {
   if (configured != PollerBackend::kAuto) return configured;
@@ -78,11 +82,22 @@ struct Server::Conn {
   bool want_write = false;     ///< current poller write interest
   bool stop_reading = false;   ///< poller read interest dropped
   bool closing = false;        ///< close as soon as `out` flushes dry
+  bool dirty = false;          ///< listed in dirty_ for this pass's flush
 
   // Observability only: endpoints of the read burst that completed the
   // current frame(s), stamped only while tracing is enabled.
   std::uint64_t read_start_ns = 0;
   std::uint64_t read_end_ns = 0;
+
+  // Observability only: sampled replies queued since the last flush_dirty.
+  // Their net_write spans and request roots close when that flush returns.
+  struct TracedReply {
+    std::uint64_t trace_id;
+    std::uint32_t trace_root;
+    std::uint64_t trace_start_ns;
+    std::size_t bytes;
+  };
+  std::vector<TracedReply> traced;
 };
 
 Server::Server(serve::TranscodeService& service, ServerConfig config)
@@ -111,6 +126,7 @@ Server::Server(serve::TranscodeService& service, ServerConfig config)
     counter("net_connections_idle_closed_total", s.connections_idle_closed);
     counter("net_frames_in_total", s.frames_in);
     counter("net_frames_out_total", s.frames_out);
+    counter("net_socket_writes_total", s.socket_writes);
     counter("net_pings_total", s.pings);
     counter("net_requests_submitted_total", s.requests_submitted);
     counter("net_protocol_errors_total", s.protocol_errors);
@@ -215,6 +231,7 @@ ServerStats Server::stats() const {
   s.connections_idle_closed = idle_closed_.load(std::memory_order_relaxed);
   s.frames_in = frames_in_.load(std::memory_order_relaxed);
   s.frames_out = frames_out_.load(std::memory_order_relaxed);
+  s.socket_writes = socket_writes_.load(std::memory_order_relaxed);
   s.pings = pings_.load(std::memory_order_relaxed);
   s.requests_submitted = submitted_.load(std::memory_order_relaxed);
   s.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
@@ -297,6 +314,7 @@ void Server::run_loop() {
     // queue second — the reverse order can consume a wake byte whose
     // completion arrives between the two drains, stranding it.)
     drain_completions();
+    flush_dirty();
 
     if (!drain_started) sweep_idle();
   }
@@ -418,16 +436,35 @@ void Server::drain_completions() {
     }
     Conn* conn = it->second.get();
     if (conn->inflight > 0) --conn->inflight;
-    const std::uint64_t write_start = d.trace_id ? obs::now_ns() : 0;
     queue_bytes(conn, std::move(d.bytes));
-    if (d.trace_id != 0) {
-      const std::uint64_t write_end = obs::now_ns();
-      obs::record_span(d.trace_id, d.trace_root, obs::Stage::kNetWrite,
-                       write_start, write_end, resp_size);
-      obs::record_span_as(d.trace_id, d.trace_root, 0, obs::Stage::kRequest,
-                          d.trace_start_ns, write_end);
+    if (d.trace_id != 0)
+      conn->traced.push_back({d.trace_id, d.trace_root, d.trace_start_ns, resp_size});
+  }
+}
+
+void Server::flush_dirty() {
+  for (std::uint64_t id : dirty_) {
+    auto it = conns_.find(id);
+    if (it == conns_.end()) continue;  // closed since it was queued to
+    Conn* conn = it->second.get();
+    conn->dirty = false;
+    // Moved out first: the flush may close the connection.
+    std::vector<Conn::TracedReply> traced;
+    traced.swap(conn->traced);
+    const std::uint64_t write_start = traced.empty() ? 0 : obs::now_ns();
+    // A connection waiting for writability gets its turn from that event;
+    // its traced roots still close here, before the loop waits again.
+    if (!conn->want_write) flush(conn);
+    if (traced.empty()) continue;
+    const std::uint64_t write_end = obs::now_ns();
+    for (const Conn::TracedReply& t : traced) {
+      obs::record_span(t.trace_id, t.trace_root, obs::Stage::kNetWrite, write_start, write_end,
+                       t.bytes);
+      obs::record_span_as(t.trace_id, t.trace_root, 0, obs::Stage::kRequest, t.trace_start_ns,
+                          write_end);
     }
   }
+  dirty_.clear();
 }
 
 bool Server::handle_readable(Conn* conn) {
@@ -458,7 +495,7 @@ bool Server::handle_readable(Conn* conn) {
     if (pr == ParseResult::kNeedMore) return true;
     if (pr == ParseResult::kFrame) {
       frames_in_.fetch_add(1, std::memory_order_relaxed);
-      if (!handle_frame(conn, std::move(frame))) return false;
+      handle_frame(conn, std::move(frame));
       if (conn->stop_reading) return true;  // error frame queued; drop the rest
       continue;
     }
@@ -474,11 +511,12 @@ bool Server::handle_readable(Conn* conn) {
     conn->stop_reading = true;
     conn->closing = true;
     poller_->update(conn->fd.get(), /*want_read=*/false, conn->want_write);
-    return queue_frame(conn, make_error(0, Op::kPing, status, why));
+    queue_frame(conn, make_error(0, Op::kPing, status, why));
+    return true;
   }
 }
 
-bool Server::handle_frame(Conn* conn, Frame&& frame) {
+void Server::handle_frame(Conn* conn, Frame&& frame) {
   // Responses echo the request's version so a v1 client keeps decoding a
   // v2 server (the protocol grows additively, see frame.hpp).
   if (frame.type != FrameType::kRequest) {
@@ -639,8 +677,8 @@ bool Server::handle_frame(Conn* conn, Frame&& frame) {
 
   // Observability: maybe open a sampled trace for this request. The ids
   // ride on the Request (never digested, never serialized) so queue-wait,
-  // batch and codec spans nest under this root; drain_completions records
-  // net_write and closes the root when the bytes are handed to the socket.
+  // batch and codec spans nest under this root; flush_dirty records
+  // net_write and closes the root when the connection's flush returns.
   std::uint64_t trace_id = 0;
   std::uint32_t trace_root = 0;
   std::uint64_t trace_start = 0;
@@ -692,25 +730,39 @@ bool Server::handle_frame(Conn* conn, Frame&& frame) {
 
   // A synchronous refusal may already sit in done_; it is picked up by the
   // next drain_completions() pass (the wake byte guarantees one).
-  return true;
 }
 
-bool Server::queue_frame(Conn* conn, const Frame& frame) {
-  return queue_bytes(conn, serialize_frame(frame));
+void Server::queue_frame(Conn* conn, const Frame& frame) {
+  queue_bytes(conn, serialize_frame(frame));
 }
 
-bool Server::queue_bytes(Conn* conn, std::vector<std::uint8_t> bytes) {
+// No system call here: flush_dirty() writes the connection at the end of
+// this loop pass.
+void Server::queue_bytes(Conn* conn, std::vector<std::uint8_t> bytes) {
   frames_out_.fetch_add(1, std::memory_order_relaxed);
   conn->out.push_back(std::move(bytes));
   conn->last_active = Clock::now();
-  return flush(conn);
+  if (!conn->dirty) {
+    conn->dirty = true;
+    dirty_.push_back(conn->id);
+  }
 }
 
 bool Server::flush(Conn* conn) {
+  iovec iov[kMaxIov];
   while (!conn->out.empty()) {
-    const std::vector<std::uint8_t>& front = conn->out.front();
-    const long sent = ::send(conn->fd.get(), front.data() + conn->out_off,
-                             front.size() - conn->out_off, MSG_NOSIGNAL);
+    std::size_t n = 0;
+    std::size_t off = conn->out_off;
+    for (auto it = conn->out.begin(); it != conn->out.end() && n < kMaxIov; ++it, ++n) {
+      iov[n].iov_base = it->data() + off;
+      iov[n].iov_len = it->size() - off;
+      off = 0;
+    }
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = n;
+    const long sent = ::sendmsg(conn->fd.get(), &msg, MSG_NOSIGNAL);
+    socket_writes_.fetch_add(1, std::memory_order_relaxed);
     if (sent < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
@@ -723,8 +775,15 @@ bool Server::flush(Conn* conn) {
       close_conn(conn->id);
       return false;
     }
-    conn->out_off += static_cast<std::size_t>(sent);
-    if (conn->out_off == front.size()) {
+    // Pop every frame the call finished; carry the remainder in out_off.
+    std::size_t left = static_cast<std::size_t>(sent);
+    while (left > 0) {
+      const std::size_t rest = conn->out.front().size() - conn->out_off;
+      if (left < rest) {
+        conn->out_off += left;
+        break;
+      }
+      left -= rest;
       conn->out.pop_front();
       conn->out_off = 0;
     }

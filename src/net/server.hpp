@@ -12,7 +12,7 @@
 //                     │                            │ wake pipe     thread)
 //                     ▼                            ▼
 //              event loop (epoll / poll) ──▶ per-connection write queue
-//                                             non-blocking write-back
+//                                             one gather write per pass
 //
 // One thread runs the loop; it never computes, decodes, or blocks on the
 // service. Worker callbacks serialize the response frame on the worker
@@ -20,6 +20,13 @@
 // queue, and wake it via a self-pipe — connection state itself is touched
 // by the loop thread only, which is what keeps the server TSan-clean with
 // no per-connection locks.
+//
+// Every reply, a worker's or the loop's own (pong, stats, job op, error
+// frame), is only appended to its connection's write queue. Once per loop
+// pass, after the completion queue is drained, each connection that gained
+// bytes is written with one non-blocking gather sendmsg over its queued
+// frames, in queue order; a connection already waiting for writability is
+// left to that event.
 //
 // Overload behaves like the service's admission policy, end to end: a
 // kReject service answers a full queue with an immediate typed kRejected
@@ -100,6 +107,7 @@ struct ServerStats {
   std::uint64_t connections_idle_closed = 0;
   std::uint64_t frames_in = 0;   ///< well-formed frames parsed
   std::uint64_t frames_out = 0;  ///< response frames queued for write
+  std::uint64_t socket_writes = 0;  ///< sendmsg calls (frames_out / this = replies per write)
   std::uint64_t pings = 0;
   std::uint64_t requests_submitted = 0;  ///< handed to the service
   std::uint64_t protocol_errors = 0;     ///< malformed/version-skew frames
@@ -142,7 +150,8 @@ class Server {
     std::vector<std::uint8_t> bytes;
     // Observability only: the sampled trace this response belongs to (0 =
     // unsampled), its root span, and when the root opened — the loop
-    // records net_write and closes the root when it hands the bytes off.
+    // records net_write and closes the root when its connection's flush
+    // returns.
     std::uint64_t trace_id = 0;
     std::uint32_t trace_root = 0;
     std::uint64_t trace_start_ns = 0;
@@ -154,10 +163,11 @@ class Server {
   void accept_new();
   void drain_wake_pipe();
   void drain_completions();
+  void flush_dirty();
   bool handle_readable(Conn* conn);
-  bool handle_frame(Conn* conn, Frame&& frame);
-  bool queue_frame(Conn* conn, const Frame& frame);
-  bool queue_bytes(Conn* conn, std::vector<std::uint8_t> bytes);
+  void handle_frame(Conn* conn, Frame&& frame);
+  void queue_frame(Conn* conn, const Frame& frame);
+  void queue_bytes(Conn* conn, std::vector<std::uint8_t> bytes);
   bool flush(Conn* conn);
   void close_conn(std::uint64_t id);
   void begin_drain();
@@ -181,6 +191,7 @@ class Server {
   std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns_;
   std::uint64_t next_conn_id_ = 3;  ///< 1 = listener, 2 = wake pipe
   std::size_t inflight_total_ = 0;  ///< submitted, completion not yet drained
+  std::vector<std::uint64_t> dirty_;  ///< connections queued to since the last flush_dirty
 
   // Worker -> loop completion hand-off.
   std::mutex done_mutex_;
@@ -199,6 +210,7 @@ class Server {
   std::atomic<std::uint64_t> idle_closed_{0};
   std::atomic<std::uint64_t> frames_in_{0};
   std::atomic<std::uint64_t> frames_out_{0};
+  std::atomic<std::uint64_t> socket_writes_{0};
   std::atomic<std::uint64_t> pings_{0};
   std::atomic<std::uint64_t> submitted_{0};
   std::atomic<std::uint64_t> protocol_errors_{0};

@@ -10,17 +10,23 @@
 // payload-transparent for it to hold.
 //
 // The rest covers the connection state machine: pipelining and response
-// correlation, chunked sends, protocol-error frames (garbage, version
-// skew, oversized), typed overload rejection, the connection cap, idle
-// timeouts, and graceful drain. Every blocking read is armed with a
-// receive timeout — a hung server fails a test, never the suite.
+// correlation, replies gathered into one write per loop pass, a reader that
+// stalls the server's writes, chunked sends, protocol-error frames
+// (garbage, version skew, oversized), typed overload rejection, the
+// connection cap, idle timeouts, and graceful drain. Every blocking read is
+// armed with a receive timeout — a hung server fails a test, never the
+// suite.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <netinet/in.h>
+#include <sys/socket.h>
 
 #include "api/dnj.hpp"
 #include "net/client.hpp"
@@ -184,6 +190,140 @@ TEST(NetServer, BothPollerBackendsServeIdenticalPayloads) {
     payloads.push_back(reply.bytes);
   }
   EXPECT_EQ(payloads[0], payloads[1]);
+}
+
+/// The poller backends this build can run: poll always, epoll where
+/// compiled in.
+std::vector<PollerBackend> both_backends() {
+  std::vector<PollerBackend> backends{PollerBackend::kPoll};
+  if (epoll_available()) backends.push_back(PollerBackend::kEpoll);
+  return backends;
+}
+
+TEST(NetServer, RepliesOfOnePassLeaveInOneWrite) {
+  for (PollerBackend backend : both_backends()) {
+    ServerConfig cfg;
+    cfg.backend = backend;
+    TestServer ts({}, std::move(cfg));
+    Client client = ts.connect();
+    std::string error;
+    ASSERT_TRUE(client.ping(&error)) << error;  // the connection is open and idle
+
+    // 64 pings in one send: the loop reads them in one pass, queues 64
+    // pongs, and writes them with one gather call (two if the read split).
+    constexpr std::uint32_t kPings = 64;
+    std::vector<std::uint8_t> burst;
+    for (std::uint32_t id = 1; id <= kPings; ++id) {
+      const std::vector<std::uint8_t> frame = serialize_frame(make_ping(1000 + id));
+      burst.insert(burst.end(), frame.begin(), frame.end());
+    }
+    // socket_writes is counted just after sendmsg returns, so it can trail
+    // the client's receive by a moment: wait for the first pong's write.
+    ServerStats before = ts.server.stats();
+    for (int i = 0; i < 200 && before.socket_writes == 0; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      before = ts.server.stats();
+    }
+    ASSERT_TRUE(client.send_raw(burst.data(), burst.size(), &error)) << error;
+    for (std::uint32_t id = 1; id <= kPings; ++id) {
+      WireReply reply;
+      ASSERT_TRUE(client.recv_reply(&reply, &error)) << error << " (pong " << id << ")";
+      EXPECT_EQ(reply.status, WireStatus::kOk);
+      EXPECT_EQ(reply.op, Op::kPing);
+      EXPECT_EQ(reply.request_id, 1000 + id);  // frames leave in queue order
+    }
+
+    ServerStats after = ts.server.stats();  // likewise for the pongs' write
+    for (int i = 0; i < 200 && after.socket_writes == before.socket_writes; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+      after = ts.server.stats();
+    }
+    EXPECT_EQ(after.frames_out - before.frames_out, kPings);
+    EXPECT_GE(after.socket_writes - before.socket_writes, 1u);
+    EXPECT_LE(after.socket_writes - before.socket_writes, 2u);
+  }
+}
+
+TEST(NetServer, StalledReaderGetsEveryReplyIntact) {
+  // Decode replies totalling more than the server's socket send buffer can
+  // take (about 4 MiB at Linux defaults) on top of a deliberately small
+  // client receive buffer: the server's writes hit EAGAIN, wait for
+  // writability, and resume mid-frame. Distinct streams per request so a
+  // reply that arrives shifted or mixed up cannot match its expectation.
+  constexpr int kRequests = 12;
+  constexpr int kSide = 512;  // 768 KiB of pixels per reply, 9 MiB in all
+  api::Session session;
+  std::vector<std::vector<std::uint8_t>> streams;
+  std::vector<std::vector<std::uint8_t>> expected;
+  const image::Image img = test_image(kSide, kSide, 3);
+  for (int i = 0; i < kRequests; ++i) {
+    const auto enc = session.codec().encode(
+        api::ImageView{img.data().data(), img.width(), img.height(), img.channels()},
+        api::EncodeOptions().quality(40 + 4 * i));
+    ASSERT_TRUE(enc.ok());
+    const auto dec = session.codec().decode(enc.value());
+    ASSERT_TRUE(dec.ok());
+    streams.push_back(enc.value());
+    expected.push_back(dec.value().pixels);
+  }
+
+  for (PollerBackend backend : both_backends()) {
+    serve::ServiceConfig service_cfg;
+    service_cfg.workers = 2;
+    ServerConfig cfg;
+    cfg.backend = backend;
+    TestServer ts(std::move(service_cfg), std::move(cfg));
+
+    // SO_RCVBUF before connect, so the window the server sees is small from
+    // the handshake on.
+    ScopedFd fd(::socket(AF_INET, SOCK_STREAM, 0));
+    ASSERT_TRUE(fd.valid());
+    const int rcvbuf = 4096;
+    ASSERT_EQ(::setsockopt(fd.get(), SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof rcvbuf), 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(static_cast<std::uint16_t>(ts.server.port()));
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(::connect(fd.get(), reinterpret_cast<const sockaddr*>(&addr), sizeof addr), 0);
+    ASSERT_TRUE(set_recv_timeout_ms(fd.get(), 10000));
+
+    // Send every request before reading a byte.
+    for (int i = 0; i < kRequests; ++i) {
+      serve::Request dec;
+      dec.kind = serve::RequestKind::kDecode;
+      dec.bytes = streams[static_cast<std::size_t>(i)];
+      const std::vector<std::uint8_t> bytes =
+          serialize_frame(make_request(static_cast<std::uint32_t>(i + 1), dec));
+      ASSERT_TRUE(send_all(fd.get(), bytes.data(), bytes.size()));
+    }
+    // Let the replies pile up behind the stalled reader.
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+
+    FrameParser parser;
+    std::set<std::uint32_t> seen;
+    std::vector<std::uint8_t> buf(64 * 1024);
+    while (seen.size() < static_cast<std::size_t>(kRequests)) {
+      Frame frame;
+      const ParseResult pr = parser.next(&frame);
+      ASSERT_TRUE(pr == ParseResult::kFrame || pr == ParseResult::kNeedMore)
+          << "reply stream corrupt after " << seen.size() << " replies";
+      if (pr == ParseResult::kNeedMore) {
+        const long got = recv_some(fd.get(), buf.data(), buf.size());
+        ASSERT_GT(got, 0) << "after " << seen.size() << " replies";
+        parser.feed(buf.data(), static_cast<std::size_t>(got));
+        continue;
+      }
+      WireReply reply;
+      ASSERT_TRUE(parse_response(frame, &reply));
+      ASSERT_EQ(reply.status, WireStatus::kOk) << reply.error;
+      ASSERT_GE(reply.request_id, 1u);
+      ASSERT_LE(reply.request_id, static_cast<std::uint32_t>(kRequests));
+      EXPECT_TRUE(seen.insert(reply.request_id).second)
+          << "request " << reply.request_id << " answered twice";
+      EXPECT_EQ(reply.image.data(), expected[reply.request_id - 1])
+          << "request " << reply.request_id;
+    }
+  }
 }
 
 TEST(NetServer, ChunkedSendsReassemble) {
@@ -470,6 +610,7 @@ TEST(NetServer, StatsScrapeExposesBothLayersOverTheWire) {
   EXPECT_NE(text.find("serve_requests_submitted_total 1"), std::string::npos) << text;
   EXPECT_NE(text.find("serve_requests_completed_total"), std::string::npos);
   EXPECT_NE(text.find("net_frames_in_total"), std::string::npos);
+  EXPECT_NE(text.find("net_socket_writes_total"), std::string::npos);
   EXPECT_NE(text.find("net_connections_active 1"), std::string::npos);
   EXPECT_NE(text.find("net_response_bytes"), std::string::npos);
 
