@@ -20,8 +20,9 @@
 //   num_images — dataset size (default 256)
 //   repeats    — timed samples per measurement; best sample reported
 //                (default 3; use 1 for a CI smoke run). Each sample repeats
-//                its body for at least 20 ms; the write- and read-path rows
-//                instead report the median of 10x / 30x `repeats` runs.
+//                its body for at least 20 ms, and sample r of every row is
+//                taken before sample r+1 of any; the write- and read-path
+//                rows instead report the median of 10x / 30x `repeats` runs.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -55,34 +56,38 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
-// Seconds per call of `fn`, best of `repeats` samples. Each sample calls
-// `fn` back to back until the calls add up to at least kMinSampleS, so a
-// sub-millisecond body is not timed by one call. `restore` runs before
-// every call, outside the timed region: an in-place stage restores its
-// pristine input there, so it never transforms its own output.
+// One timed row: `fn` is the body, and `restore` runs before every call,
+// outside the timed region: an in-place stage restores its pristine input
+// there, so it never transforms its own output. `s` ends as seconds per
+// call, best of the row's samples.
+struct Timed {
+  std::function<void()> fn;
+  std::function<void()> restore = [] {};
+  double s = 1e100;
+};
+
+// Takes `repeats` samples of every row, sample r of each row before sample
+// r+1 of any, so a host slowdown spreads over the rows instead of spoiling
+// every sample of one. Each sample calls its body back to back until the
+// calls add up to at least kMinSampleS, so a sub-millisecond body is not
+// timed by one call. Rows run in the order given within a round: a row may
+// read what an earlier row of the same round wrote.
 constexpr double kMinSampleS = 0.020;
 
-template <typename Fn, typename Restore>
-double best_of(int repeats, Fn&& fn, Restore&& restore) {
-  double best = 1e100;
-  for (int r = 0; r < repeats; ++r) {
-    double timed = 0;
-    int calls = 0;
-    do {
-      restore();
-      const auto t0 = std::chrono::steady_clock::now();
-      fn();
-      timed += seconds_since(t0);
-      ++calls;
-    } while (timed < kMinSampleS);
-    best = std::min(best, timed / calls);
-  }
-  return best;
-}
-
-template <typename Fn>
-double best_of(int repeats, Fn&& fn) {
-  return best_of(repeats, fn, [] {});
+void best_of_interleaved(int repeats, const std::vector<Timed*>& rows) {
+  for (int r = 0; r < repeats; ++r)
+    for (Timed* row : rows) {
+      double timed = 0;
+      int calls = 0;
+      do {
+        row->restore();
+        const auto t0 = std::chrono::steady_clock::now();
+        row->fn();
+        timed += seconds_since(t0);
+        ++calls;
+      } while (timed < kMinSampleS);
+      row->s = std::min(row->s, timed / calls);
+    }
 }
 
 double median(std::vector<double> v) {
@@ -368,59 +373,41 @@ int main(int argc, char** argv) {
     quants[i].reshape(bx, by);
   }
 
-  // Stage bodies shared by the ambient measurement below and the per-level
+  // Stage rows shared by the ambient measurement below and the per-level
   // SIMD rows further down, so the timing discipline (pristine-copy restore
   // before every DCT call, quant-then-idct pairing) exists exactly once.
+  // Within a round the DCT leaves `coeffs` holding exactly one DCT
+  // application for quant, quant fills `quants` for entropy and the decode
+  // pair, and the decode pair clobbers `coeffs` for untile.
   const jpeg::ReciprocalTable recip(luma_q);
   // Plain local copy: structured bindings cannot be captured by lambdas in
   // C++17.
   const jpeg::QuantTable dq_table = luma_q;
-  const auto measure_tile = [&] {
-    return best_of(repeats, [&] {
-      for (std::size_t i = 0; i < ds.size(); ++i)
-        image::tile_image_blocks_into(ds.samples[i].image, 0, bx, by, tiled[i].data(),
-                                      -128.0f);
-    });
-  };
-  // Restores the DCT inputs from the pristine tiled copy before every timed
-  // call (untimed) so calls never transform already-transformed data — and
-  // leaves `coeffs` holding exactly one DCT application for the quant and
-  // entropy stages.
-  const auto measure_dct = [&] {
-    return best_of(
-        repeats,
-        [&] {
-          for (std::size_t i = 0; i < ds.size(); ++i)
-            jpeg::fdct_batch(coeffs[i].data(), coeffs[i].block_count());
-        },
-        [&] {
-          for (std::size_t i = 0; i < ds.size(); ++i)
-            std::copy(tiled[i].data(), tiled[i].data() + tiled[i].block_count() * 64,
-                      coeffs[i].data());
-        });
-  };
-  const auto measure_quant = [&] {
-    return best_of(repeats, [&] {
-      for (std::size_t i = 0; i < ds.size(); ++i)
-        jpeg::quantize_batch(coeffs[i].data(), coeffs[i].block_count(), recip,
-                             quants[i].data());
-    });
-  };
-  // Decode-side pair: dequantize is cheap, idct dominates. Clobbers
-  // `coeffs`.
-  const auto measure_dequant_idct = [&] {
-    return best_of(repeats, [&] {
-      for (std::size_t i = 0; i < ds.size(); ++i) {
-        jpeg::dequantize_batch(quants[i].data(), quants[i].block_count(), dq_table,
-                               coeffs[i].data());
-        jpeg::idct_batch(coeffs[i].data(), coeffs[i].block_count());
-      }
-    });
-  };
-
-  const double tile_s = measure_tile();
-  const double dct_s = measure_dct();
-  const double quant_s = measure_quant();
+  Timed tile{[&] {
+    for (std::size_t i = 0; i < ds.size(); ++i)
+      image::tile_image_blocks_into(ds.samples[i].image, 0, bx, by, tiled[i].data(), -128.0f);
+  }};
+  Timed dct{[&] {
+              for (std::size_t i = 0; i < ds.size(); ++i)
+                jpeg::fdct_batch(coeffs[i].data(), coeffs[i].block_count());
+            },
+            [&] {
+              for (std::size_t i = 0; i < ds.size(); ++i)
+                std::copy(tiled[i].data(), tiled[i].data() + tiled[i].block_count() * 64,
+                          coeffs[i].data());
+            }};
+  Timed quant{[&] {
+    for (std::size_t i = 0; i < ds.size(); ++i)
+      jpeg::quantize_batch(coeffs[i].data(), coeffs[i].block_count(), recip, quants[i].data());
+  }};
+  // Decode-side pair: dequantize is cheap, idct dominates.
+  Timed dequant_idct{[&] {
+    for (std::size_t i = 0; i < ds.size(); ++i) {
+      jpeg::dequantize_batch(quants[i].data(), quants[i].block_count(), dq_table,
+                             coeffs[i].data());
+      jpeg::idct_batch(coeffs[i].data(), coeffs[i].block_count());
+    }
+  }};
 
   // Entropy: each image's blocks are one single-component scan, coded as
   // the encoder codes a stripe: one batched nonzero-mask call, then the
@@ -433,7 +420,7 @@ int main(int argc, char** argv) {
   gray_tables.ac[0] = &huff.ac_luma;
   std::vector<std::uint8_t> scratch;
   std::vector<std::uint64_t> masks(blocks_per_image);
-  const double entropy_s = best_of(repeats, [&] {
+  Timed entropy{[&] {
     for (std::size_t i = 0; i < ds.size(); ++i) {
       scratch.clear();
       jpeg::BitWriter bw(scratch);
@@ -443,7 +430,7 @@ int main(int argc, char** argv) {
                           static_cast<int>(blocks_per_image), gray_mcu, gray_tables, 0, scan);
       bw.flush();
     }
-  });
+  }};
 
   // --- end-to-end: reference per-block encoder vs pipeline ----------------
   // Equivalence gate first (untimed): every image of the workload must
@@ -454,38 +441,35 @@ int main(int argc, char** argv) {
         identical && jpeg::encode_reference(s.image, enc_cfg) == jpeg::encode(s.image, enc_cfg, ctx);
 
   std::vector<std::uint8_t> sink;
-  const double reference_s = best_of(repeats, [&] {
-    for (const data::Sample& s : ds.samples)
-      sink = jpeg::encode_reference(s.image, enc_cfg);
-  });
-  const double pipeline_s = best_of(repeats, [&] {
+  Timed reference{[&] {
+    for (const data::Sample& s : ds.samples) sink = jpeg::encode_reference(s.image, enc_cfg);
+  }};
+  Timed pipeline{[&] {
     for (const data::Sample& s : ds.samples) sink = jpeg::encode(s.image, enc_cfg, ctx);
-  });
-  const double speedup = reference_s / pipeline_s;
+  }};
 
   // --- decode throughput through a warm context ---------------------------
   std::vector<std::vector<std::uint8_t>> streams;
   streams.reserve(ds.size());
   for (const data::Sample& s : ds.samples)
     streams.push_back(jpeg::encode(s.image, enc_cfg, ctx));
-  const double decode_s = best_of(repeats, [&] {
+  Timed decode{[&] {
     for (const auto& bytes : streams) jpeg::decode(bytes, ctx);
-  });
+  }};
 
   // --- decode per-stage rows ----------------------------------------------
   // The encode/decode asymmetry tracked stage by stage: entropy decode in
   // isolation (decode_coefficients stops after the Huffman pass), the
-  // dequantize+IDCT pair (measured above on the same planes), and the
+  // dequantize+IDCT pair (on the encode stages' planes), and the
   // block-grid -> plane untile that backs pixel reconstruction.
-  const double huffdec_s = best_of(repeats, [&] {
+  Timed huffdec{[&] {
     for (const auto& bytes : streams) jpeg::decode_coefficients(bytes, ctx, 1);
-  });
-  const double dequant_idct_s = measure_dequant_idct();
+  }};
   image::PlaneF untile_plane(gen_cfg.width, gen_cfg.height);
-  const double untile_s = best_of(repeats, [&] {
+  Timed untile{[&] {
     for (std::size_t i = 0; i < ds.size(); ++i)
       image::untile_blocks_from(coeffs[i].data(), bx, by, untile_plane, 128.0f);
-  });
+  }};
 
   // --- restart-interval parallel decode -----------------------------------
   // One larger single-component stream whose scan carries restart markers:
@@ -504,43 +488,58 @@ int main(int argc, char** argv) {
   bool restart_identical = true;
   struct RestartRow {
     int threads;
-    double s = 0;
+    Timed timed;
   };
   std::vector<RestartRow> restart_rows;
   for (const int nt : {1, 2, 8}) {
     const image::Image out = jpeg::decode(rst_stream, ctx, nt);
     restart_identical = restart_identical && out.data() == rst_ref.data();
-    RestartRow row;
-    row.threads = nt;
-    row.s = best_of(repeats, [&] {
-      for (int r = 0; r < 16; ++r) (void)jpeg::decode(rst_stream, ctx, nt);
-    });
-    restart_rows.push_back(row);
+    restart_rows.push_back({nt, Timed{[&, nt] {
+                              for (int r = 0; r < 16; ++r) (void)jpeg::decode(rst_stream, ctx, nt);
+                            }}});
   }
+
+  // Every row above, sampled round by round in pipeline order.
+  std::vector<Timed*> ambient_rows = {&tile,     &dct,    &quant,   &entropy,      &reference,
+                                      &pipeline, &decode, &huffdec, &dequant_idct, &untile};
+  for (RestartRow& row : restart_rows) ambient_rows.push_back(&row.timed);
+  best_of_interleaved(repeats, ambient_rows);
+  const double tile_s = tile.s, dct_s = dct.s, quant_s = quant.s, entropy_s = entropy.s;
+  const double reference_s = reference.s, pipeline_s = pipeline.s;
+  const double speedup = reference_s / pipeline_s;
+  const double decode_s = decode.s, huffdec_s = huffdec.s;
+  const double dequant_idct_s = dequant_idct.s, untile_s = untile.s;
 
   // --- per-kernel throughput at every supported SIMD level ----------------
   // The sections above ran at the ambient level (DNJ_SIMD / auto); this one
   // pins each level in turn and reruns the same four stage bodies, so the
   // JSON carries scalar vs SSE2 vs AVX2 rows measured with the identical
-  // buffer discipline.
+  // buffer discipline. Each row pins its level before every call (untimed),
+  // and a round samples every level's rows.
   struct LevelStages {
     simd::Level level;
     double tile_s = 0, dct_s = 0, quant_s = 0, idct_s = 0;
   };
-  std::vector<LevelStages> level_rows;
   const simd::Level ambient_level = simd::active_level();
-  for (simd::Level level :
-       {simd::Level::kScalar, simd::Level::kSse2, simd::Level::kAvx2}) {
-    if (!simd::set_level(level)) continue;  // not supported on this machine/build
-    LevelStages row;
-    row.level = level;
-    row.tile_s = measure_tile();
-    row.dct_s = measure_dct();
-    row.quant_s = measure_quant();
-    row.idct_s = measure_dequant_idct();
-    level_rows.push_back(row);
-  }
+  std::vector<simd::Level> levels;
+  for (simd::Level level : {simd::Level::kScalar, simd::Level::kSse2, simd::Level::kAvx2})
+    if (simd::set_level(level)) levels.push_back(level);  // else not supported here
+  std::vector<Timed> level_timed;
+  for (simd::Level level : levels)
+    for (const Timed* stage : {&tile, &dct, &quant, &dequant_idct})
+      level_timed.push_back({stage->fn, [level, restore = stage->restore] {
+                               simd::set_level(level);
+                               restore();
+                             }});
+  std::vector<Timed*> level_ptrs;
+  for (Timed& t : level_timed) level_ptrs.push_back(&t);
+  best_of_interleaved(repeats, level_ptrs);
   simd::set_level(ambient_level);
+  std::vector<LevelStages> level_rows;
+  for (std::size_t l = 0; l < levels.size(); ++l) {
+    const Timed* t = &level_timed[4 * l];
+    level_rows.push_back({levels[l], t[0].s, t[1].s, t[2].s, t[3].s});
+  }
 
   const std::vector<CodecRow> write_rows = measure_write_path(10 * repeats);
   const int read_runs = 30 * repeats;
@@ -595,8 +594,8 @@ int main(int argc, char** argv) {
   for (const RestartRow& row : restart_rows) {
     json.begin_object();
     json.field("threads", row.threads);
-    json.field("seconds", row.s);
-    json.field("images_per_s", 16.0 / row.s);
+    json.field("seconds", row.timed.s);
+    json.field("images_per_s", 16.0 / row.timed.s);
     json.end_object();
   }
   json.end_array();
@@ -689,7 +688,7 @@ int main(int argc, char** argv) {
     std::printf("  decode %-12s %.4fs  %7.2f Mblocks/s\n", st.name, st.s, mblk / st.s);
   for (const RestartRow& row : restart_rows)
     std::printf("  restart decode @%d threads: %.4fs  %.1f img/s (%s)\n", row.threads,
-                row.s, 16.0 / row.s, restart_identical ? "identical" : "DIFFER");
+                row.timed.s, 16.0 / row.timed.s, restart_identical ? "identical" : "DIFFER");
   std::printf("  per-kernel Mblocks/s by SIMD level (ambient: %s):\n",
               simd::level_name(ambient_level));
   std::printf("    %-8s %8s %8s %12s %12s\n", "level", "tile", "dct", "quant",

@@ -1,7 +1,7 @@
 // INTERNAL glue between the public API types and the codec-layer types.
 // Not part of the public surface (do not include from embedder code):
-// this header exists so api/*.cpp and the serving layer share one
-// conversion and one validation story when crossing the boundary.
+// this header exists so api/*.cpp share one conversion and one validation
+// story when crossing the boundary. No layer below src/api includes it.
 #pragma once
 
 #include <memory>
@@ -22,8 +22,8 @@ namespace dnj::api::detail {
 jpeg::EncoderConfig to_config(const EncodeOptions& options);
 
 /// EncoderConfig -> EncodeOptions, field-for-field. to_config(from_config(c))
-/// reproduces `c` exactly — the serving layer's façade migration depends
-/// on this round trip being lossless (byte-identity of served payloads).
+/// reproduces `c` exactly (api::Registry reports a tenant's options this
+/// way).
 EncodeOptions from_config(const jpeg::EncoderConfig& config);
 
 /// Boundary validation: ok() or kInvalidArgument with a precise message.

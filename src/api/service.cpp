@@ -9,11 +9,27 @@
 
 #include "api/convert.hpp"
 #include "jobs/job_manager.hpp"
+#include "net/frame.hpp"
 #include "net/server.hpp"
 #include "obs/trace.hpp"
 #include "serve/service.hpp"
 
 namespace dnj::api {
+
+// The wire status byte mirrors StatusCode value-for-value on 0..5, so a
+// wire status a foreign client logs and a dnj_status_t an embedder logs
+// agree without a translation table.
+static_assert(static_cast<int>(net::WireStatus::kOk) == static_cast<int>(StatusCode::kOk));
+static_assert(static_cast<int>(net::WireStatus::kInvalidArgument) ==
+              static_cast<int>(StatusCode::kInvalidArgument));
+static_assert(static_cast<int>(net::WireStatus::kDecodeError) ==
+              static_cast<int>(StatusCode::kDecodeError));
+static_assert(static_cast<int>(net::WireStatus::kRejected) ==
+              static_cast<int>(StatusCode::kRejected));
+static_assert(static_cast<int>(net::WireStatus::kShutdown) ==
+              static_cast<int>(StatusCode::kShutdown));
+static_assert(static_cast<int>(net::WireStatus::kInternal) ==
+              static_cast<int>(StatusCode::kInternal));
 
 namespace {
 

@@ -73,8 +73,10 @@ Status validate_options(const EncodeOptions& options) {
   if (!options.uses_custom_tables() &&
       (options.quality() < 1 || options.quality() > 100))
     return {StatusCode::kInvalidArgument, "quality must be in [1, 100]"};
-  if (options.restart_interval() < 0 || options.restart_interval() > 65535)
+  if (options.restart_interval() < 0 || options.restart_interval() > jpeg::kMaxRestartInterval)
     return {StatusCode::kInvalidArgument, "restart interval must be in [0, 65535]"};
+  if (options.comment().size() > jpeg::kMaxCommentBytes)
+    return {StatusCode::kInvalidArgument, "comment must be at most 65533 bytes"};
   return Status::success();
 }
 

@@ -11,7 +11,8 @@
 //   kOk              — success
 //   kInvalidArgument — the caller's inputs are malformed: null/empty views,
 //                      dimensions outside [1, 65535], channels not 1 or 3,
-//                      quality outside [1, 100], negative restart interval
+//                      quality outside [1, 100], restart interval outside
+//                      [0, 65535], comment over 65533 bytes
 //   kDecodeError     — the input bytes are not a decodable JFIF stream
 //                      (truncated, garbage, or unsupported features)
 //   kRejected        — async service only: queue full under reject policy

@@ -67,7 +67,7 @@ void write_app0(std::vector<std::uint8_t>& out) {
 
 void write_comment(std::vector<std::uint8_t>& out, const std::string& text) {
   if (text.empty()) return;
-  if (text.size() > 65533) throw std::invalid_argument("encode: comment too long");
+  if (text.size() > kMaxCommentBytes) throw std::invalid_argument("encode: comment too long");
   write_segment_header(out, kCOM, static_cast<std::uint16_t>(text.size()));
   out.insert(out.end(), text.begin(), text.end());
 }
@@ -163,7 +163,7 @@ void validate_config(PixelView img, const EncoderConfig& config) {
   // through the public API are validated here.
   if (img.channels != 1 && img.channels != 3)
     throw std::invalid_argument("encode: channels must be 1 or 3");
-  if (config.restart_interval < 0 || config.restart_interval > 65535)
+  if (config.restart_interval < 0 || config.restart_interval > kMaxRestartInterval)
     throw std::invalid_argument("encode: bad restart interval");
 }
 

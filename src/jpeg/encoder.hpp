@@ -8,6 +8,7 @@
 // the pipeline changes.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -17,6 +18,12 @@
 #include "jpeg/quant.hpp"
 
 namespace dnj::jpeg {
+
+/// The largest restart interval and comment the stream can carry: DRI's
+/// interval and COM's segment length are 16-bit fields (T.81 B.2.4.4,
+/// B.2.4.5), and the segment length counts its own two bytes.
+inline constexpr int kMaxRestartInterval = 65535;
+inline constexpr std::size_t kMaxCommentBytes = 65533;
 
 enum class Subsampling {
   k444,  ///< no chroma subsampling
@@ -39,10 +46,11 @@ struct EncoderConfig {
   /// smaller files; identical pixels.
   bool optimize_huffman = false;
 
-  /// Restart interval in MCUs (0 = no restart markers).
+  /// Restart interval in MCUs (0 = no restart markers), at most
+  /// kMaxRestartInterval.
   int restart_interval = 0;
 
-  /// Optional COM marker payload.
+  /// Optional COM marker payload, at most kMaxCommentBytes.
   std::string comment;
 };
 

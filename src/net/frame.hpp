@@ -80,8 +80,15 @@ inline constexpr bool op_is_job(Op op) {
          op == Op::kJobResult;
 }
 
+/// The protocol version that introduced `op`: kStats came with v2, the
+/// job ops with v3. Inside an older version the op does not exist, so the
+/// server refuses such a frame as kMalformed.
+inline constexpr std::uint8_t op_min_version(Op op) {
+  return op == Op::kStats ? 2 : op_is_job(op) ? 3 : 1;
+}
+
 /// Wire status byte of a response frame. 0..5 mirror dnj::api::StatusCode
-/// value-for-value (pinned by static_asserts in protocol.cpp); 6 and 7 are
+/// value-for-value (pinned by static_asserts in api/service.cpp); 6 and 7 are
 /// protocol-level failures that have no in-process equivalent.
 enum class WireStatus : std::uint8_t {
   kOk = 0,

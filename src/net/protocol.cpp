@@ -3,25 +3,9 @@
 #include <array>
 #include <cstring>
 
-#include "api/status.hpp"
 #include "base/fnv1a.hpp"
 
 namespace dnj::net {
-
-// The wire status byte is defined to mirror the public API's StatusCode
-// value-for-value on 0..5, so a wire status a foreign client logs and a
-// dnj_status_t an embedder logs agree without a translation table.
-static_assert(static_cast<int>(WireStatus::kOk) == static_cast<int>(api::StatusCode::kOk));
-static_assert(static_cast<int>(WireStatus::kInvalidArgument) ==
-              static_cast<int>(api::StatusCode::kInvalidArgument));
-static_assert(static_cast<int>(WireStatus::kDecodeError) ==
-              static_cast<int>(api::StatusCode::kDecodeError));
-static_assert(static_cast<int>(WireStatus::kRejected) ==
-              static_cast<int>(api::StatusCode::kRejected));
-static_assert(static_cast<int>(WireStatus::kShutdown) ==
-              static_cast<int>(api::StatusCode::kShutdown));
-static_assert(static_cast<int>(WireStatus::kInternal) ==
-              static_cast<int>(api::StatusCode::kInternal));
 
 namespace {
 
@@ -154,9 +138,13 @@ WireStatus parse_options(Cursor& c, jpeg::EncoderConfig* out) {
     cfg.chroma_table = jpeg::QuantTable(natural);
   }
   // Range validation after the structural read so a truncated frame is
-  // always kMalformed, never misreported as a bad argument.
+  // always kMalformed, never misreported as a bad argument. The restart
+  // and comment bounds are the encoder's: larger values do not fit the
+  // stream's 16-bit fields.
   if (cfg.quality < 1 || cfg.quality > 100) return WireStatus::kInvalidArgument;
-  if (static_cast<std::int32_t>(restart) < 0) return WireStatus::kInvalidArgument;
+  if (restart > static_cast<std::uint32_t>(jpeg::kMaxRestartInterval) ||
+      comment_len > jpeg::kMaxCommentBytes)
+    return WireStatus::kInvalidArgument;
   *out = cfg;
   return WireStatus::kOk;
 }

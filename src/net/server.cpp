@@ -106,47 +106,25 @@ Server::Server(serve::TranscodeService& service, ServerConfig config)
   if (config_.backlog < 1) config_.backlog = 1;
   if (config_.max_payload > kMaxPayloadBytes) config_.max_payload = kMaxPayloadBytes;
 
-  // Publish into the service's registry so one kStats scrape answers for
-  // both layers. The collector snapshots the loop/stats atomics — safe
-  // from any thread, no registry re-entry.
   metrics_ = service_.metrics_registry();
-  response_bytes_ =
-      &metrics_->histogram("net_response_bytes", {}, 0.0, 262144.0, 128);
-  metrics_collector_ = metrics_->add_collector([this](std::vector<obs::Sample>& out) {
-    const ServerStats s = stats();
-    auto counter = [&out](const char* name, std::uint64_t v) {
-      obs::Sample smp;
-      smp.name = name;
-      smp.value = static_cast<double>(v);
-      smp.kind = obs::SampleKind::kCounter;
-      out.push_back(std::move(smp));
-    };
-    counter("net_connections_accepted_total", s.connections_accepted);
-    counter("net_connections_rejected_total", s.connections_rejected);
-    counter("net_connections_idle_closed_total", s.connections_idle_closed);
-    counter("net_frames_in_total", s.frames_in);
-    counter("net_frames_out_total", s.frames_out);
-    counter("net_socket_writes_total", s.socket_writes);
-    counter("net_pings_total", s.pings);
-    counter("net_requests_submitted_total", s.requests_submitted);
-    counter("net_protocol_errors_total", s.protocol_errors);
-    counter("net_responses_dropped_total", s.responses_dropped);
-    counter("net_stats_scrapes_total", s.stats_scrapes);
-    counter("net_job_ops_total", s.job_ops);
-    obs::Sample active;
-    active.name = "net_connections_active";
-    active.value = static_cast<double>(s.connections_active);
-    active.kind = obs::SampleKind::kGauge;
-    out.push_back(std::move(active));
-  });
+  obs::Registry& m = *metrics_;
+  accepted_ = &m.counter("net_connections_accepted_total");
+  active_ = &m.gauge("net_connections_active");
+  conn_rejected_ = &m.counter("net_connections_rejected_total");
+  idle_closed_ = &m.counter("net_connections_idle_closed_total");
+  frames_in_ = &m.counter("net_frames_in_total");
+  frames_out_ = &m.counter("net_frames_out_total");
+  socket_writes_ = &m.counter("net_socket_writes_total");
+  pings_ = &m.counter("net_pings_total");
+  submitted_ = &m.counter("net_requests_submitted_total");
+  protocol_errors_ = &m.counter("net_protocol_errors_total");
+  responses_dropped_ = &m.counter("net_responses_dropped_total");
+  stats_scrapes_ = &m.counter("net_stats_scrapes_total");
+  job_ops_ = &m.counter("net_job_ops_total");
+  response_bytes_ = &m.histogram("net_response_bytes", {}, 0.0, 262144.0, 128);
 }
 
-Server::~Server() {
-  stop();
-  // Blocks until any in-flight gather() is done with the lambda above, so
-  // the captured `this` cannot be used past this line.
-  metrics_->remove_collector(metrics_collector_);
-}
+Server::~Server() { stop(); }
 
 bool Server::start(std::string* error) {
   std::lock_guard<std::mutex> lock(lifecycle_mutex_);
@@ -225,19 +203,19 @@ void Server::stop() {
 
 ServerStats Server::stats() const {
   ServerStats s;
-  s.connections_accepted = accepted_.load(std::memory_order_relaxed);
-  s.connections_active = active_.load(std::memory_order_relaxed);
-  s.connections_rejected = conn_rejected_.load(std::memory_order_relaxed);
-  s.connections_idle_closed = idle_closed_.load(std::memory_order_relaxed);
-  s.frames_in = frames_in_.load(std::memory_order_relaxed);
-  s.frames_out = frames_out_.load(std::memory_order_relaxed);
-  s.socket_writes = socket_writes_.load(std::memory_order_relaxed);
-  s.pings = pings_.load(std::memory_order_relaxed);
-  s.requests_submitted = submitted_.load(std::memory_order_relaxed);
-  s.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
-  s.responses_dropped = responses_dropped_.load(std::memory_order_relaxed);
-  s.stats_scrapes = stats_scrapes_.load(std::memory_order_relaxed);
-  s.job_ops = job_ops_.load(std::memory_order_relaxed);
+  s.connections_accepted = accepted_->value();
+  s.connections_active = static_cast<std::uint64_t>(active_->value());
+  s.connections_rejected = conn_rejected_->value();
+  s.connections_idle_closed = idle_closed_->value();
+  s.frames_in = frames_in_->value();
+  s.frames_out = frames_out_->value();
+  s.socket_writes = socket_writes_->value();
+  s.pings = pings_->value();
+  s.requests_submitted = submitted_->value();
+  s.protocol_errors = protocol_errors_->value();
+  s.responses_dropped = responses_dropped_->value();
+  s.stats_scrapes = stats_scrapes_->value();
+  s.job_ops = job_ops_->value();
   return s;
 }
 
@@ -323,7 +301,7 @@ void Server::run_loop() {
   for (auto& [id, conn] : conns_) {
     (void)id;
     poller_->remove(conn->fd.get());
-    active_.fetch_sub(1, std::memory_order_relaxed);
+    active_->add(-1);
   }
   conns_.clear();
 }
@@ -368,7 +346,7 @@ void Server::sweep_idle() {
     }
   }
   for (std::uint64_t id : idle_ids) {
-    idle_closed_.fetch_add(1, std::memory_order_relaxed);
+    idle_closed_->inc();
     close_conn(id);
   }
 }
@@ -385,7 +363,7 @@ void Server::accept_new() {
     ::setsockopt(cfd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
 
     if (conns_.size() >= static_cast<std::size_t>(config_.max_connections)) {
-      conn_rejected_.fetch_add(1, std::memory_order_relaxed);
+      conn_rejected_->inc();
       const std::vector<std::uint8_t> bytes = serialize_frame(
           make_error(0, Op::kPing, WireStatus::kRejected, "connection limit reached"));
       // Best effort — the socket is fresh, so the buffer almost always takes
@@ -404,8 +382,8 @@ void Server::accept_new() {
       continue;  // ~Conn closes cfd
     }
     conns_.emplace(id, std::move(conn));
-    accepted_.fetch_add(1, std::memory_order_relaxed);
-    active_.fetch_add(1, std::memory_order_relaxed);
+    accepted_->inc();
+    active_->add(1);
   }
 }
 
@@ -427,7 +405,7 @@ void Server::drain_completions() {
     response_bytes_->observe(static_cast<double>(resp_size));
     auto it = conns_.find(d.conn_id);
     if (it == conns_.end()) {
-      responses_dropped_.fetch_add(1, std::memory_order_relaxed);
+      responses_dropped_->inc();
       // Close the root anyway — the work happened even if nobody is
       // listening for the answer.
       obs::record_span_as(d.trace_id, d.trace_root, 0, obs::Stage::kRequest,
@@ -494,41 +472,27 @@ bool Server::handle_readable(Conn* conn) {
     const ParseResult pr = conn->parser.next(&frame);
     if (pr == ParseResult::kNeedMore) return true;
     if (pr == ParseResult::kFrame) {
-      frames_in_.fetch_add(1, std::memory_order_relaxed);
+      frames_in_->inc();
       handle_frame(conn, std::move(frame));
       if (conn->stop_reading) return true;  // error frame queued; drop the rest
       continue;
     }
-    // Sticky parse failure: answer with a typed error frame, stop reading,
-    // and close once the frame has flushed.
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+    // Sticky parse failure: no frame to echo, so the error frame carries
+    // request id 0; the connection closes once it has flushed.
     const WireStatus status =
         pr == ParseResult::kBadVersion ? WireStatus::kVersionSkew : WireStatus::kMalformed;
     const char* why = pr == ParseResult::kBadMagic     ? "bad magic"
                       : pr == ParseResult::kBadVersion ? "unsupported protocol version"
                       : pr == ParseResult::kBadHeader  ? "bad header"
                                                        : "payload crc mismatch";
-    conn->stop_reading = true;
-    conn->closing = true;
-    poller_->update(conn->fd.get(), /*want_read=*/false, conn->want_write);
-    queue_frame(conn, make_error(0, Op::kPing, status, why));
+    refuse(conn, Frame{}, status, why);
     return true;
   }
 }
 
 void Server::handle_frame(Conn* conn, Frame&& frame) {
-  // Responses echo the request's version so a v1 client keeps decoding a
-  // v2 server (the protocol grows additively, see frame.hpp).
-  if (frame.type != FrameType::kRequest) {
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-    conn->stop_reading = true;
-    conn->closing = true;
-    poller_->update(conn->fd.get(), /*want_read=*/false, conn->want_write);
-    Frame err = make_error(frame.request_id, frame.op, WireStatus::kMalformed,
-                           "expected a request frame");
-    err.version = frame.version;
-    return queue_frame(conn, err);
-  }
+  if (frame.type != FrameType::kRequest)
+    return refuse(conn, frame, WireStatus::kMalformed, "expected a request frame");
 
   obs::Tracer& tracer = obs::Tracer::instance();
   const bool tracing = tracer.enabled();
@@ -537,142 +501,45 @@ void Server::handle_frame(Conn* conn, Frame&& frame) {
   const WireStatus parsed = parse_request(frame, &req);
   const std::uint64_t parse_end = tracing ? obs::now_ns() : 0;
 
-  if (parsed == WireStatus::kOk && frame.op == Op::kPing) {
-    pings_.fetch_add(1, std::memory_order_relaxed);
+  if (parsed != WireStatus::kOk)
+    return refuse(conn, frame, parsed,
+                  parsed == WireStatus::kMalformed ? "malformed request payload"
+                                                   : "request argument out of range");
+  // An op newer than the frame's version does not exist inside that
+  // version: the frame is malformed, and a malformed frame poisons the
+  // stream (PROTOCOL.md §3/§10).
+  if (const std::uint8_t min_version = op_min_version(frame.op); frame.version < min_version)
+    return refuse(conn, frame, WireStatus::kMalformed,
+                  "op " + std::to_string(static_cast<int>(frame.op)) +
+                      (frame.op == Op::kStats ? " (stats)" : " (job)") +
+                      " requires protocol version " + std::to_string(min_version));
+
+  if (frame.op == Op::kPing) {
+    pings_->inc();
     Frame pong;
-    pong.version = frame.version;
     pong.type = FrameType::kResponse;
     pong.op = Op::kPing;
     pong.status = static_cast<std::uint8_t>(WireStatus::kOk);
     pong.request_id = frame.request_id;
-    return queue_frame(conn, pong);
+    return reply(conn, frame, std::move(pong));
   }
 
-  if (parsed == WireStatus::kOk && frame.op == Op::kStats) {
-    if (frame.version < 2) {
-      // Op 6 does not exist in v1 — inside that version the frame is
-      // malformed, and a malformed frame poisons the stream (§3/§10).
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      conn->stop_reading = true;
-      conn->closing = true;
-      poller_->update(conn->fd.get(), /*want_read=*/false, conn->want_write);
-      Frame err = make_error(frame.request_id, frame.op, WireStatus::kMalformed,
-                             "op 6 (stats) requires protocol version 2");
-      err.version = frame.version;
-      return queue_frame(conn, err);
-    }
+  if (frame.op == Op::kStats) {
     // Admin scrape: rendered by the loop thread, never queued behind
     // service work (the whole point is visibility under overload).
-    stats_scrapes_.fetch_add(1, std::memory_order_relaxed);
+    stats_scrapes_->inc();
     std::string text;
     switch (static_cast<StatsFormat>(frame.payload[0])) {
       case StatsFormat::kPrometheus: text = metrics_->render_prometheus(); break;
       case StatsFormat::kJson: text = metrics_->render_json(); break;
       case StatsFormat::kTraceJson: text = tracer.dump_json(); break;
     }
-    Frame resp = make_stats_response(frame.request_id, text);
-    resp.version = frame.version;
-    return queue_frame(conn, resp);
+    return reply(conn, frame, make_stats_response(frame.request_id, text));
   }
 
-  if (parsed == WireStatus::kOk && op_is_job(frame.op)) {
-    if (frame.version < 3) {
-      // Ops 7..10 do not exist before v3 — inside those versions the frame
-      // is malformed, and a malformed frame poisons the stream.
-      protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      conn->stop_reading = true;
-      conn->closing = true;
-      poller_->update(conn->fd.get(), /*want_read=*/false, conn->want_write);
-      Frame err = make_error(frame.request_id, frame.op, WireStatus::kMalformed,
-                             "op " + std::to_string(static_cast<int>(frame.op)) +
-                                 " (job) requires protocol version 3");
-      err.version = frame.version;
-      return queue_frame(conn, err);
-    }
-    job_ops_.fetch_add(1, std::memory_order_relaxed);
-    if (!config_.jobs) {
-      Frame err = make_error(frame.request_id, frame.op, WireStatus::kInternal,
-                             "job subsystem not enabled");
-      err.version = frame.version;
-      return queue_frame(conn, err);
-    }
-    jobs::JobManager& manager = *config_.jobs;
-
-    // Job ops are answered right here on the loop thread: submit queues
-    // onto the manager's own pool, the rest are O(1) map lookups — none
-    // ever waits on design work or the transcode queue.
-    Frame resp;
-    if (frame.op == Op::kJobSubmit) {
-      std::uint64_t requested_id = 0;
-      jobs::DesignJobSpec spec;
-      const WireStatus ps = parse_job_submit(frame, &requested_id, &spec);
-      if (ps != WireStatus::kOk) {
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        const bool fatal = ps == WireStatus::kMalformed;
-        if (fatal) {
-          conn->stop_reading = true;
-          conn->closing = true;
-          poller_->update(conn->fd.get(), /*want_read=*/false, conn->want_write);
-        }
-        const char* why =
-            fatal ? "malformed job-submit payload" : "job-submit argument out of range";
-        Frame err = make_error(frame.request_id, frame.op, ps, why);
-        err.version = frame.version;
-        return queue_frame(conn, err);
-      }
-      std::uint64_t job_id = 0;
-      const jobs::JobRc rc = manager.submit(std::move(spec), requested_id, &job_id);
-      resp = rc == jobs::JobRc::kOk
-                 ? make_job_submit_response(frame.request_id, job_id)
-                 : make_error(frame.request_id, frame.op, wire_status_from_job_rc(rc),
-                              job_rc_message(rc, requested_id));
-    } else {
-      std::uint64_t job_id = 0;
-      if (parse_job_id_request(frame, &job_id) != WireStatus::kOk) {
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        conn->stop_reading = true;
-        conn->closing = true;
-        poller_->update(conn->fd.get(), /*want_read=*/false, conn->want_write);
-        Frame err = make_error(frame.request_id, frame.op, WireStatus::kMalformed,
-                               "malformed job-id payload");
-        err.version = frame.version;
-        return queue_frame(conn, err);
-      }
-      jobs::JobRc rc = jobs::JobRc::kOk;
-      if (frame.op == Op::kJobStatus) {
-        jobs::JobStatus status;
-        rc = manager.status(job_id, &status);
-        if (rc == jobs::JobRc::kOk)
-          resp = make_job_status_response(frame.request_id, status);
-      } else if (frame.op == Op::kJobCancel) {
-        rc = manager.cancel(job_id);
-        if (rc == jobs::JobRc::kOk) resp = make_job_cancel_response(frame.request_id);
-      } else {  // kJobResult
-        jobs::JobResult result;
-        rc = manager.result(job_id, &result);
-        if (rc == jobs::JobRc::kOk)
-          resp = make_job_result_response(frame.request_id, result);
-      }
-      if (rc != jobs::JobRc::kOk)
-        resp = make_error(frame.request_id, frame.op, wire_status_from_job_rc(rc),
-                          job_rc_message(rc, job_id));
-    }
-    resp.version = frame.version;
-    return queue_frame(conn, resp);
-  }
-
-  if (parsed != WireStatus::kOk) {
-    protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-    const bool fatal = parsed == WireStatus::kMalformed;  // framing no longer trusted
-    if (fatal) {
-      conn->stop_reading = true;
-      conn->closing = true;
-      poller_->update(conn->fd.get(), /*want_read=*/false, conn->want_write);
-    }
-    const char* why = fatal ? "malformed request payload" : "request argument out of range";
-    Frame err = make_error(frame.request_id, frame.op, parsed, why);
-    err.version = frame.version;
-    return queue_frame(conn, err);
+  if (op_is_job(frame.op)) {
+    job_ops_->inc();
+    return answer_job(conn, frame);
   }
 
   // Observability: maybe open a sampled trace for this request. The ids
@@ -705,7 +572,7 @@ void Server::handle_frame(Conn* conn, Frame&& frame) {
 
   ++conn->inflight;
   ++inflight_total_;
-  submitted_.fetch_add(1, std::memory_order_relaxed);
+  submitted_->inc();
   {
     std::lock_guard<std::mutex> cb_lock(cb_mutex_);
     ++callbacks_outstanding_;
@@ -732,6 +599,75 @@ void Server::handle_frame(Conn* conn, Frame&& frame) {
   // next drain_completions() pass (the wake byte guarantees one).
 }
 
+// Job ops are answered right here on the loop thread: submit queues onto
+// the manager's own pool, the rest are O(1) map lookups — none ever waits
+// on design work or the transcode queue.
+void Server::answer_job(Conn* conn, const Frame& frame) {
+  if (!config_.jobs)
+    return reply(conn, frame,
+                 make_error(frame.request_id, frame.op, WireStatus::kInternal,
+                            "job subsystem not enabled"));
+  jobs::JobManager& manager = *config_.jobs;
+  jobs::JobRc rc = jobs::JobRc::kOk;
+  std::uint64_t job_id = 0;
+  Frame resp;
+  if (frame.op == Op::kJobSubmit) {
+    std::uint64_t requested_id = 0;
+    jobs::DesignJobSpec spec;
+    const WireStatus ps = parse_job_submit(frame, &requested_id, &spec);
+    if (ps != WireStatus::kOk)
+      return refuse(conn, frame, ps,
+                    ps == WireStatus::kMalformed ? "malformed job-submit payload"
+                                                 : "job-submit argument out of range");
+    rc = manager.submit(std::move(spec), requested_id, &job_id);
+    if (rc == jobs::JobRc::kOk) resp = make_job_submit_response(frame.request_id, job_id);
+    job_id = requested_id;  // a refusal names the id that was asked for
+  } else {
+    if (parse_job_id_request(frame, &job_id) != WireStatus::kOk)
+      return refuse(conn, frame, WireStatus::kMalformed, "malformed job-id payload");
+    if (frame.op == Op::kJobStatus) {
+      jobs::JobStatus status;
+      rc = manager.status(job_id, &status);
+      if (rc == jobs::JobRc::kOk) resp = make_job_status_response(frame.request_id, status);
+    } else if (frame.op == Op::kJobCancel) {
+      rc = manager.cancel(job_id);
+      if (rc == jobs::JobRc::kOk) resp = make_job_cancel_response(frame.request_id);
+    } else {  // kJobResult
+      jobs::JobResult result;
+      rc = manager.result(job_id, &result);
+      if (rc == jobs::JobRc::kOk) resp = make_job_result_response(frame.request_id, result);
+    }
+  }
+  if (rc != jobs::JobRc::kOk)
+    resp = make_error(frame.request_id, frame.op, wire_status_from_job_rc(rc),
+                      job_rc_message(rc, job_id));
+  reply(conn, frame, std::move(resp));
+}
+
+// Answers a refused frame: counts the protocol error and queues a typed
+// error frame that echoes the request's id, op and version. kMalformed and
+// kVersionSkew mean the byte stream can no longer be trusted, so reading
+// stops and the connection closes once the frame has flushed; any other
+// refusal (kInvalidArgument) keeps the connection.
+void Server::refuse(Conn* conn, const Frame& request, WireStatus status,
+                    const std::string& why) {
+  protocol_errors_->inc();
+  if (status == WireStatus::kMalformed || status == WireStatus::kVersionSkew) {
+    conn->stop_reading = true;
+    conn->closing = true;
+    poller_->update(conn->fd.get(), /*want_read=*/false, conn->want_write);
+  }
+  reply(conn, request, make_error(request.request_id, request.op, status, why));
+}
+
+// Queues a loop-thread answer to `request`. Responses echo the request's
+// version so a v1 client keeps decoding a newer server (the protocol grows
+// additively, see frame.hpp).
+void Server::reply(Conn* conn, const Frame& request, Frame resp) {
+  resp.version = request.version;
+  queue_frame(conn, resp);
+}
+
 void Server::queue_frame(Conn* conn, const Frame& frame) {
   queue_bytes(conn, serialize_frame(frame));
 }
@@ -739,7 +675,7 @@ void Server::queue_frame(Conn* conn, const Frame& frame) {
 // No system call here: flush_dirty() writes the connection at the end of
 // this loop pass.
 void Server::queue_bytes(Conn* conn, std::vector<std::uint8_t> bytes) {
-  frames_out_.fetch_add(1, std::memory_order_relaxed);
+  frames_out_->inc();
   conn->out.push_back(std::move(bytes));
   conn->last_active = Clock::now();
   if (!conn->dirty) {
@@ -762,7 +698,7 @@ bool Server::flush(Conn* conn) {
     msg.msg_iov = iov;
     msg.msg_iovlen = n;
     const long sent = ::sendmsg(conn->fd.get(), &msg, MSG_NOSIGNAL);
-    socket_writes_.fetch_add(1, std::memory_order_relaxed);
+    socket_writes_->inc();
     if (sent < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
@@ -805,7 +741,7 @@ void Server::close_conn(std::uint64_t id) {
   poller_->remove(it->second->fd.get());
   conns_.erase(it);  // ~Conn closes the fd; pending completions for this id
                      // land in responses_dropped
-  active_.fetch_sub(1, std::memory_order_relaxed);
+  active_->add(-1);
 }
 
 }  // namespace dnj::net

@@ -99,7 +99,10 @@ struct ServerConfig {
   jobs::JobManager* jobs = nullptr;
 };
 
-/// Point-in-time counters (all monotonic except connections_active).
+/// Point-in-time counters (all monotonic except connections_active), read
+/// back from the `net_*` instruments of the service's metrics registry.
+/// Those outlive any one server: every server that fronts the same service
+/// counts into, and reads back, the same instruments.
 struct ServerStats {
   std::uint64_t connections_accepted = 0;
   std::uint64_t connections_active = 0;
@@ -166,6 +169,9 @@ class Server {
   void flush_dirty();
   bool handle_readable(Conn* conn);
   void handle_frame(Conn* conn, Frame&& frame);
+  void answer_job(Conn* conn, const Frame& frame);
+  void refuse(Conn* conn, const Frame& request, WireStatus status, const std::string& why);
+  void reply(Conn* conn, const Frame& request, Frame resp);
   void queue_frame(Conn* conn, const Frame& frame);
   void queue_bytes(Conn* conn, std::vector<std::uint8_t> bytes);
   bool flush(Conn* conn);
@@ -203,28 +209,26 @@ class Server {
   std::condition_variable cb_cv_;
   std::uint64_t callbacks_outstanding_ = 0;
 
-  // Stats (atomics: stats() reads from any thread).
-  std::atomic<std::uint64_t> accepted_{0};
-  std::atomic<std::uint64_t> active_{0};
-  std::atomic<std::uint64_t> conn_rejected_{0};
-  std::atomic<std::uint64_t> idle_closed_{0};
-  std::atomic<std::uint64_t> frames_in_{0};
-  std::atomic<std::uint64_t> frames_out_{0};
-  std::atomic<std::uint64_t> socket_writes_{0};
-  std::atomic<std::uint64_t> pings_{0};
-  std::atomic<std::uint64_t> submitted_{0};
-  std::atomic<std::uint64_t> protocol_errors_{0};
-  std::atomic<std::uint64_t> responses_dropped_{0};
-  std::atomic<std::uint64_t> stats_scrapes_{0};
-  std::atomic<std::uint64_t> job_ops_{0};
-
-  // Metrics plane: the server publishes into the service's registry — one
-  // scrape answers for both layers. The collector snapshots the atomics
-  // above; the histogram tracks response frame sizes. Removed/owned so the
-  // captured `this` can never dangle past the destructor.
+  // Metrics plane: the server's counters are instruments of the service's
+  // registry, so one kStats scrape answers for both layers and stats()
+  // reads the same values back. Instruments keep stable addresses for the
+  // registry's lifetime (metrics_ holds it), so an update is one relaxed
+  // atomic with no registry lookup.
   std::shared_ptr<obs::Registry> metrics_;
+  obs::Counter* accepted_ = nullptr;
+  obs::Gauge* active_ = nullptr;
+  obs::Counter* conn_rejected_ = nullptr;
+  obs::Counter* idle_closed_ = nullptr;
+  obs::Counter* frames_in_ = nullptr;
+  obs::Counter* frames_out_ = nullptr;
+  obs::Counter* socket_writes_ = nullptr;
+  obs::Counter* pings_ = nullptr;
+  obs::Counter* submitted_ = nullptr;
+  obs::Counter* protocol_errors_ = nullptr;
+  obs::Counter* responses_dropped_ = nullptr;
+  obs::Counter* stats_scrapes_ = nullptr;
+  obs::Counter* job_ops_ = nullptr;
   obs::HistogramHandle* response_bytes_ = nullptr;
-  std::uint64_t metrics_collector_ = 0;
 };
 
 }  // namespace dnj::net

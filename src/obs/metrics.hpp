@@ -5,7 +5,7 @@
 /// A Registry owns typed instruments (Counter / Gauge / HistogramHandle)
 /// registered by name + labels, plus removable *collector* callbacks for
 /// subsystems that keep their counters elsewhere (the serve layer's
-/// merged WorkerStats, the net server's loop-thread atomics). gather()
+/// merged WorkerStats). gather()
 /// combines both into one deterministic sample list, which the two
 /// exporters (Prometheus text, JSON) render for the wire `stats` op,
 /// api::Service::metrics_text(), and the C ABI.

@@ -7,10 +7,9 @@
 #include <stdexcept>
 #include <utility>
 
-#include "api/convert.hpp"
-#include "api/session.hpp"
-#include "jpeg/codec.hpp"
+#include "core/transcode.hpp"
 #include "jpeg/decoder.hpp"
+#include "jpeg/encoder.hpp"
 #include "nn/trainer.hpp"
 #include "obs/trace.hpp"
 
@@ -302,72 +301,37 @@ void TranscodeService::process(Job job, WorkerStats& ws) {
   fulfill(std::move(job), std::move(resp));
 }
 
-namespace {
-
-/// Folds a façade status into a Response: any non-ok api status becomes a
-/// typed kError with the façade's message (the serve taxonomy's catch-all
-/// for handler failures — exactly what the pre-façade exception path
-/// produced, message for message).
-bool fold_status(const api::Status& status, Response& r) {
-  if (status.ok()) return true;
-  r = Response{};
-  r.status = Status::kError;
-  r.error = status.message();
-  return false;
-}
-
-}  // namespace
-
 Response TranscodeService::run(const Request& req, const TenantEntry* tenant) {
-  // The codec request kinds run through the public façade (dnj::api) —
-  // the service is the façade's first in-tree consumer, so the boundary
-  // contract (typed statuses in, bit-identical payloads out) is exercised
-  // by every serving test. Session binds codec work to this worker
-  // thread's codec context, the same warm arenas the direct calls used;
-  // payloads are byte-identical to the pre-façade implementation. One
-  // deliberate tightening rides along: the façade validates options, so a
-  // request whose config carries quality outside [1, 100] (which raw
-  // jpeg::encode silently clamps) now gets a typed kError instead of
-  // clamped bytes. execute() shares this path, so the submit()==execute()
-  // determinism contract is unaffected.
-  static thread_local api::Session session;
-  const api::Codec codec = session.codec();
+  // Every handler runs on this thread's codec context: a pump's persists
+  // across requests (warm arenas, cached tables), so a same-configuration
+  // stream builds its tables once per worker. Payloads are byte-identical
+  // to the public api::Codec calls on the same inputs, which run the same
+  // codec functions on the caller's context.
+  jpeg::pipeline::CodecContext& ctx = jpeg::pipeline::thread_codec_context();
   Response r;
   try {
     switch (req.kind) {
-      case RequestKind::kEncode: {
-        api::Result<std::vector<std::uint8_t>> res =
-            codec.encode(req.image.view(), api::detail::from_config(req.config));
-        if (fold_status(res.status(), r)) r.bytes = res.take();
+      case RequestKind::kEncode:
+      case RequestKind::kTranscode:
+        // jpeg::encode clamps quality; a config asking for Annex K tables
+        // outside [1, 100] is refused, as the public API refuses it.
+        if (!req.config.use_custom_tables &&
+            (req.config.quality < 1 || req.config.quality > 100))
+          throw std::invalid_argument("quality must be in [1, 100]");
+        r.bytes = req.kind == RequestKind::kEncode
+                      ? jpeg::encode(req.image, req.config, ctx)
+                      : core::transcode_bytes(req.bytes, req.config, ctx);
         break;
-      }
-      case RequestKind::kDecode: {
-        api::Result<api::DecodedImage> res = codec.decode(req.bytes);
-        if (fold_status(res.status(), r)) {
-          api::DecodedImage img = res.take();
-          r.image = image::Image(img.width, img.height, img.channels,
-                                 std::move(img.pixels));
-        }
+      case RequestKind::kDecode:
+        r.image = jpeg::decode(req.bytes, ctx);
         break;
-      }
-      case RequestKind::kTranscode: {
-        api::Result<std::vector<std::uint8_t>> res =
-            codec.transcode(req.bytes, api::detail::from_config(req.config));
-        if (fold_status(res.status(), r)) r.bytes = res.take();
+      case RequestKind::kDeepnEncode:
+        r.bytes = jpeg::encode(req.image, deepn_config(req.quality, tenant), ctx);
         break;
-      }
-      case RequestKind::kDeepnEncode: {
-        api::Result<std::vector<std::uint8_t>> res = codec.encode(
-            req.image.view(),
-            api::detail::from_config(deepn_config(req.quality, tenant)));
-        if (fold_status(res.status(), r)) r.bytes = res.take();
-        break;
-      }
       case RequestKind::kInfer: {
         if (!config_.model)
           throw std::runtime_error("kInfer request but no model configured");
-        const image::Image img =
-            jpeg::decode(req.bytes, jpeg::pipeline::thread_codec_context());
+        const image::Image img = jpeg::decode(req.bytes, ctx);
         // Layer::forward caches activations for backward, so inference is
         // serialized; the output is a pure function of (weights, image),
         // which keeps the determinism contract intact.

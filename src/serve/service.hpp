@@ -2,8 +2,9 @@
 // and the NN front end.
 //
 //   clients ──submit()──▶ bounded FIFO queue ──▶ worker pumps
-//               │          (runtime::MpmcQueue)    │ one pump per worker, each on its
-//               │ admission control:               │ own thread-local CodecContext
+//               │          (runtime::MpmcQueue)    │ one pump per worker, each calling
+//               │ admission control:               │ the codec on its own thread-local
+//               │                                  │ CodecContext
 //               │   kBlock  — wait for space       │ (warm arenas, cached tables)
 //               │   kReject — typed kRejected      └─▶ per-worker latency histograms ──merge──▶ ServiceStats
 //               ▼            response, immediately
@@ -31,7 +32,11 @@
 // the request plus the configuration snapshot it pinned: contexts only
 // carry scratch state, and the model is locked during each forward.
 // tests/test_serve.cpp pins the contract across worker counts {1, 2, 8},
-// cold and warm contexts, and concurrent submitters.
+// cold and warm contexts, and concurrent submitters. Handlers call
+// jpeg::encode / jpeg::decode / core::transcode_bytes directly, the same
+// functions the public api::Codec wraps, so served payloads equal the
+// public API's byte for byte; this layer includes nothing from src/api,
+// src/net or src/jobs.
 //
 // Shutdown: shutdown() closes the queue (new submissions get a typed
 // kShutdown response; blocked submitters wake with the same), lets the

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "api/convert.hpp"
@@ -252,6 +253,15 @@ TEST(ApiErrors, InvalidOptionsAreInvalidArguments) {
       api::StatusCode::kInvalidArgument);
   const std::vector<std::uint8_t> stream = jpeg::encode(img, {});
   EXPECT_EQ(codec.transcode(stream, api::EncodeOptions().quality(0)).status().code(),
+            api::StatusCode::kInvalidArgument);
+
+  // A comment longer than a COM segment can carry is refused before any
+  // work is queued: the async service answers as the synchronous codec does.
+  const api::EncodeOptions long_comment = api::EncodeOptions().comment(std::string(70000, 'c'));
+  EXPECT_EQ(codec.encode(img.view(), long_comment).status().code(),
+            api::StatusCode::kInvalidArgument);
+  api::Service service(api::ServiceOptions().workers(1));
+  EXPECT_EQ(service.encode(img.view(), long_comment).get().status.code(),
             api::StatusCode::kInvalidArgument);
 }
 

@@ -334,6 +334,22 @@ TEST(EntropyRobustness, OutOfSequenceRestartMarkerIsRejected) {
   expect_decode_throws_at_every_width(s);
 }
 
+TEST(EntropyRobustness, ExtraByteBeforeARestartMarkerIsRejected) {
+  // A segment's last MCU ends in the final byte before its RSTn (at most 7
+  // pad bits follow it). A byte more there means the segment over-ran its
+  // restart interval, whatever the byte holds, serially and
+  // restart-parallel.
+  for (const std::uint8_t extra : {std::uint8_t{0x00}, std::uint8_t{0x5A}}) {
+    SCOPED_TRACE("extra byte " + std::to_string(extra));
+    std::vector<std::uint8_t> s = restart_stream();
+    const std::size_t rst = first_rst(s, scan_begin(s));
+    s.insert(s.begin() + static_cast<long>(rst), extra);
+    expect_decode_throws_at_every_width(s);
+    pipeline::CodecContext ctx;
+    EXPECT_THROW((void)decode(s, ctx, 4), std::runtime_error);
+  }
+}
+
 TEST(EntropyRobustness, FillBytesBeforeARestartMarkerAreSkipped) {
   // T.81 B.1.1.2: any marker may be preceded by fill bytes (0xFF). They
   // carry no scan data, so the stream decodes exactly as it did without

@@ -463,6 +463,17 @@ TEST(NetServer, InvalidArgumentKeepsTheConnectionAlive) {
   ASSERT_TRUE(client.call(bad, &reply, &error)) << error;
   EXPECT_EQ(reply.status, WireStatus::kInvalidArgument);
 
+  // A restart interval or a comment too long for the stream's 16-bit
+  // fields is refused at the boundary, not inside a worker.
+  serve::Request restart = encode_request(test_image(), 75);
+  restart.config.restart_interval = 70000;
+  ASSERT_TRUE(client.call(restart, &reply, &error)) << error;
+  EXPECT_EQ(reply.status, WireStatus::kInvalidArgument) << reply.error;
+  serve::Request comment = encode_request(test_image(), 75);
+  comment.config.comment.assign(70000, 'c');
+  ASSERT_TRUE(client.call(comment, &reply, &error)) << error;
+  EXPECT_EQ(reply.status, WireStatus::kInvalidArgument) << reply.error;
+
   // Unlike kMalformed, the framing is still trustworthy: same connection,
   // next request works.
   EXPECT_TRUE(client.ping(&error)) << error;
@@ -748,6 +759,30 @@ TEST(NetApi, ServiceListenServesTheProtocol) {
   EXPECT_GT(service.listen_port(), 0);
   service.shutdown();  // implies stop_listening
   EXPECT_EQ(service.listen_port(), -1);
+}
+
+TEST(NetApi, NetSeriesOutliveStopListening) {
+  // The server's counters are instruments of the service's registry: they
+  // survive stop_listening() and keep counting across listeners.
+  api::Service service(api::ServiceOptions().workers(1));
+  std::string error;
+  for (int round = 1; round <= 2; ++round) {
+    SCOPED_TRACE("listener " + std::to_string(round));
+    ASSERT_TRUE(service.listen(api::ListenOptions()).ok());
+    {
+      Client client;
+      ASSERT_TRUE(client.connect("127.0.0.1",
+                                 static_cast<std::uint16_t>(service.listen_port()), &error))
+          << error;
+      ASSERT_TRUE(client.ping(&error)) << error;
+    }
+    service.stop_listening();
+    const std::string text = service.metrics_text();
+    const std::string n = std::to_string(round);
+    EXPECT_NE(text.find("\nnet_pings_total " + n + "\n"), std::string::npos) << text;
+    EXPECT_NE(text.find("\nnet_connections_accepted_total " + n + "\n"), std::string::npos);
+    EXPECT_NE(text.find("\nnet_connections_active 0\n"), std::string::npos);
+  }
 }
 
 }  // namespace

@@ -356,6 +356,21 @@ TEST(NetProtocol, SemanticRangeErrorsAreInvalidArgument) {
   ASSERT_EQ(frame.payload[channels_off], 1);  // layout sanity
   frame.payload[channels_off] = 2;
   EXPECT_EQ(parse_request(frame, &back), WireStatus::kInvalidArgument);
+
+  // The restart interval and the comment's COM segment length are 16-bit
+  // fields in the stream (T.81 B.2.4.4, B.2.4.5): the encoder would refuse
+  // larger values, so the parser refuses them first. The largest values
+  // that fit still parse.
+  serve::Request restart = enc;
+  restart.config.restart_interval = 70000;
+  EXPECT_EQ(parse_request(make_request(4, restart), &back), WireStatus::kInvalidArgument);
+  restart.config.restart_interval = 65535;
+  EXPECT_EQ(parse_request(make_request(5, restart), &back), WireStatus::kOk);
+  serve::Request comment = enc;
+  comment.config.comment.assign(70000, 'c');
+  EXPECT_EQ(parse_request(make_request(6, comment), &back), WireStatus::kInvalidArgument);
+  comment.config.comment.assign(65533, 'c');
+  EXPECT_EQ(parse_request(make_request(7, comment), &back), WireStatus::kOk);
 }
 
 TEST(NetProtocol, UnknownOpIsMalformed) {
