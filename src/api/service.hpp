@@ -192,7 +192,8 @@ struct TenantMetrics {
   double service_p99_us = 0.0;
 };
 
-/// Point-in-time service counters + merged latency quantiles (µs).
+/// Point-in-time service counters + latency quantiles (µs), read from the
+/// service's metrics registry.
 struct ServiceMetrics {
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;

@@ -132,18 +132,6 @@ HistogramHandle& Registry::histogram(const std::string& name, const Labels& labe
   return *it->second.handle;
 }
 
-std::uint64_t Registry::add_collector(Collector fn) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const std::uint64_t id = ++next_collector_;
-  collectors_.emplace(id, std::move(fn));
-  return id;
-}
-
-void Registry::remove_collector(std::uint64_t id) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  collectors_.erase(id);
-}
-
 std::vector<Sample> Registry::gather() const {
   std::vector<Sample> out;
   {
@@ -174,10 +162,6 @@ std::vector<Sample> Registry::gather() const {
                      SampleKind::kCounter});
       out.push_back({entry.name + "_max", entry.labels, entry.handle->max(),
                      SampleKind::kGauge});
-    }
-    for (const auto& [id, collector] : collectors_) {
-      (void)id;
-      collector(out);
     }
   }
   std::stable_sort(out.begin(), out.end(), sample_less);

@@ -3,22 +3,21 @@
 /// Unified metrics plane.
 ///
 /// A Registry owns typed instruments (Counter / Gauge / HistogramHandle)
-/// registered by name + labels, plus removable *collector* callbacks for
-/// subsystems that keep their counters elsewhere (the serve layer's
-/// merged WorkerStats). gather()
-/// combines both into one deterministic sample list, which the two
-/// exporters (Prometheus text, JSON) render for the wire `stats` op,
-/// api::Service::metrics_text(), and the C ABI.
+/// registered by name + labels. They are the only stats store: every
+/// layer's tallies (serve_*, net_*, jobs_*) are instruments, and the
+/// layers' stats() structs read them back. gather() turns them into one
+/// deterministic sample list, which the two exporters (Prometheus text,
+/// JSON) render for the wire `stats` op, api::Service::metrics_text(), and
+/// the C ABI.
 ///
-/// Thread safety: instrument lookup/creation and collector registration
-/// take the registry mutex; Counter::inc and Gauge updates are plain
-/// atomics (safe from any thread, no registry lock); HistogramHandle has
-/// its own mutex. Instruments have stable addresses for the registry's
-/// lifetime, so callers cache `Counter&` once and update lock-free.
+/// Thread safety: instrument lookup/creation takes the registry mutex;
+/// Counter::inc and Gauge updates are plain atomics (safe from any thread,
+/// no registry lock); HistogramHandle has its own mutex. Instruments have
+/// stable addresses for the registry's lifetime, so callers cache
+/// `Counter&` once and update lock-free.
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -44,7 +43,7 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
-/// Point-in-time value; set() and add() from any thread.
+/// Point-in-time value; set(), add() and raise_to() from any thread.
 class Gauge {
  public:
   void set(double v) { value_.store(v, std::memory_order_relaxed); }
@@ -52,6 +51,13 @@ class Gauge {
     double cur = value_.load(std::memory_order_relaxed);
     while (!value_.compare_exchange_weak(cur, cur + delta,
                                          std::memory_order_relaxed)) {
+    }
+  }
+  /// Raises the value to `v` unless it is already at least `v`: a
+  /// high-water mark that racing writers can only ever raise.
+  void raise_to(double v) {
+    double cur = value_.load(std::memory_order_relaxed);
+    while (cur < v && !value_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
     }
   }
   double value() const { return value_.load(std::memory_order_relaxed); }
@@ -74,27 +80,6 @@ class HistogramHandle {
     if (v > max_) max_ = v;
   }
 
-  /// Merges a compatible histogram (same lo/hi/bins). Geometry mismatch
-  /// throws std::invalid_argument and leaves this handle unchanged.
-  /// Merged-in sum/max are bin-center estimates — stats::Histogram keeps
-  /// counts, not values — while directly observed samples stay exact.
-  void merge_from(const stats::Histogram& other) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    hist_.merge(other);  // throws on geometry mismatch before any mutation
-    for (int b = 0; b < other.bins(); ++b) {
-      const std::uint64_t n = other.count(b);
-      if (n == 0) continue;
-      sum_ += static_cast<double>(n) * other.bin_center(b);
-      const double right = other.lo() + (other.hi() - other.lo()) *
-                                            (b + 1) / other.bins();
-      if (right > max_) max_ = right;
-    }
-  }
-
-  stats::Histogram snapshot() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return hist_;
-  }
   std::uint64_t count() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return hist_.total();
@@ -121,8 +106,8 @@ class HistogramHandle {
 
 enum class SampleKind : std::uint8_t { kCounter, kGauge };
 
-/// One exported time-series point. Collectors append these; owned
-/// instruments are converted to them inside gather().
+/// One exported time-series point; gather() converts each instrument into
+/// these.
 struct Sample {
   std::string name;
   Labels labels;
@@ -139,17 +124,9 @@ class Registry {
   HistogramHandle& histogram(const std::string& name, const Labels& labels,
                              double lo, double hi, int bins);
 
-  /// Collector callbacks run inside gather() under the registry mutex;
-  /// they must not call back into this registry. remove_collector blocks
-  /// until any in-flight gather() finishes, so a collector that captures
-  /// `this` of some object is safe to remove in that object's destructor.
-  using Collector = std::function<void(std::vector<Sample>&)>;
-  std::uint64_t add_collector(Collector fn);
-  void remove_collector(std::uint64_t id);
-
-  /// All samples — owned instruments plus collector output — sorted by
-  /// (name, labels) so renders are deterministic. Histograms expand into
-  /// quantile/sum/count/max series here.
+  /// Every instrument's samples, sorted by (name, labels) so renders are
+  /// deterministic. Histograms expand into quantile/sum/count/max series
+  /// here.
   std::vector<Sample> gather() const;
 
   /// Prometheus text exposition (with # TYPE lines, escaped label values).
@@ -176,8 +153,6 @@ class Registry {
   std::map<std::string, HistEntry> histograms_;
   // Key -> (name, labels) so gather() can reconstruct identities.
   std::map<std::string, std::pair<std::string, Labels>> identities_;
-  std::map<std::uint64_t, Collector> collectors_;
-  std::uint64_t next_collector_ = 0;
 };
 
 }  // namespace dnj::obs

@@ -17,9 +17,11 @@
 //  * The queue never holds more than `capacity` items, by construction:
 //    push() blocks while full, try_push() fails while full. high_water()
 //    exposes the maximum occupancy ever observed so tests can pin the
-//    bound.
+//    bound; it reads without the lock, so a submitter can publish it
+//    after each push at the price of one relaxed load.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -100,15 +102,16 @@ class MpmcQueue {
   std::size_t capacity() const { return capacity_; }
 
   /// Maximum occupancy ever observed — tests pin high_water() <= capacity().
-  std::size_t high_water() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return high_water_;
-  }
+  /// Read without the lock: the mark is only ever raised, under the queue
+  /// mutex, so a pusher reading it after its own push sees at least the
+  /// occupancy that push reached.
+  std::size_t high_water() const { return high_water_.load(std::memory_order_relaxed); }
 
  private:
   void enqueue_locked(T& item) {
     items_.push_back(std::move(item));
-    if (items_.size() > high_water_) high_water_ = items_.size();
+    if (items_.size() > high_water_.load(std::memory_order_relaxed))
+      high_water_.store(items_.size(), std::memory_order_relaxed);
   }
 
   const std::size_t capacity_;
@@ -116,7 +119,7 @@ class MpmcQueue {
   std::condition_variable not_full_;
   std::condition_variable not_empty_;
   std::deque<T> items_;
-  std::size_t high_water_ = 0;
+  std::atomic<std::size_t> high_water_{0};
   bool closed_ = false;
 };
 

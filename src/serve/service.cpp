@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <map>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -33,27 +32,61 @@ std::uint64_t to_trace_ns(Clock::time_point tp) {
 
 using ReuseCounters = jpeg::pipeline::CodecContext::ReuseCounters;
 
-void add_counters(ReuseCounters& into, const ReuseCounters& after,
-                  const ReuseCounters& before) {
-  into.huffman_builds += after.huffman_builds - before.huffman_builds;
-  into.reciprocal_builds += after.reciprocal_builds - before.reciprocal_builds;
-  into.quality_table_builds += after.quality_table_builds - before.quality_table_builds;
-  into.huffman_decoder_builds +=
-      after.huffman_decoder_builds - before.huffman_decoder_builds;
+/// The same type as TranscodeService::RebuildCounters.
+using RebuildCounters = std::array<obs::Counter*, 4>;
+
+/// The four context-rebuild series, in RebuildCounters order: each name's
+/// suffix and the ReuseCounters field it sums.
+struct RebuildSeries {
+  const char* suffix;
+  std::uint64_t ReuseCounters::*field;
+};
+constexpr RebuildSeries kRebuildSeries[] = {
+    {"huffman_builds_total", &ReuseCounters::huffman_builds},
+    {"reciprocal_builds_total", &ReuseCounters::reciprocal_builds},
+    {"quality_table_builds_total", &ReuseCounters::quality_table_builds},
+    {"decoder_builds_total", &ReuseCounters::huffman_decoder_builds},
+};
+
+RebuildCounters make_rebuilds(obs::Registry& m, const std::string& prefix,
+                              const obs::Labels& labels) {
+  RebuildCounters c{};
+  for (std::size_t i = 0; i < c.size(); ++i)
+    c[i] = &m.counter(prefix + kRebuildSeries[i].suffix, labels);
+  return c;
 }
 
-}  // namespace
+/// Adds one request's rebuilds; the steady state rebuilds nothing and
+/// touches no counter.
+void add_rebuilds(const RebuildCounters& c, const ReuseCounters& after,
+                  const ReuseCounters& before) {
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    const std::uint64_t delta = after.*kRebuildSeries[i].field - before.*kRebuildSeries[i].field;
+    if (delta != 0) c[i]->inc(delta);
+  }
+}
 
-LatencySummary summarize(const stats::Histogram& h, double exact_max_us) {
+/// ServiceStats and TenantStats share the four ctx_*_builds fields.
+template <typename Stats>
+void read_rebuilds(const RebuildCounters& c, Stats& out) {
+  out.ctx_huffman_builds = c[0]->value();
+  out.ctx_reciprocal_builds = c[1]->value();
+  out.ctx_quality_table_builds = c[2]->value();
+  out.ctx_decoder_builds = c[3]->value();
+}
+
+LatencySummary summarize(const obs::HistogramHandle& h) {
   LatencySummary s;
-  s.count = h.total();
+  s.count = h.count();
   if (s.count == 0) return s;
   s.p50_us = h.quantile(0.50);
   s.p95_us = h.quantile(0.95);
   s.p99_us = h.quantile(0.99);
-  s.max_us = exact_max_us;
+  s.max_us = h.max();
   return s;
 }
+
+}  // namespace
 
 /// One queued request: the request itself, its completion (a promise OR a
 /// callback — never both), and everything the worker needs without
@@ -79,53 +112,34 @@ struct TranscodeService::Job {
   bool trace_owned = false;
 };
 
-/// Per-worker accounting. Each worker mutates only its own instance, under
-/// its own mutex (uncontended in steady state — stats() is the only other
-/// reader), which keeps the hot path lock-cheap and the whole structure
-/// TSan-clean.
-struct TranscodeService::WorkerStats {
-  /// Per-tenant slice of this worker's counters, keyed by tenant name.
-  /// std::map so stats() merges in sorted order for free.
-  struct TenantCounters {
-    std::uint64_t requests = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t errors = 0;
-    ReuseCounters ctx;
-    stats::Histogram service_time = make_tenant_latency_histogram();
-    double service_max_us = 0.0;
-  };
-
-  std::mutex mutex;
-  stats::Histogram queue_wait = make_latency_histogram();
-  stats::Histogram service_time = make_latency_histogram();
-  stats::Histogram total = make_latency_histogram();
-  double queue_wait_max_us = 0.0;
-  double service_time_max_us = 0.0;
-  double total_max_us = 0.0;
-  std::uint64_t completed = 0;
-  std::uint64_t errors = 0;
-  std::uint64_t per_kind[kNumRequestKinds] = {0, 0, 0, 0, 0};
-  ReuseCounters ctx;
-  std::map<std::string, TenantCounters> tenants;
-};
-
 TranscodeService::TranscodeService(ServiceConfig config) : config_(std::move(config)) {
   config_.workers = std::max(1, config_.workers);
   config_.queue_capacity = std::max<std::size_t>(1, config_.queue_capacity);
   if (!config_.registry) config_.registry = std::make_shared<TableRegistry>();
   if (!config_.metrics) config_.metrics = std::make_shared<obs::Registry>();
-  // The submission counters ARE registry instruments (stats() reads them
-  // back), so the exporters and ServiceStats share one source of truth.
-  submitted_ = &config_.metrics->counter("serve_requests_submitted_total");
-  rejected_ = &config_.metrics->counter("serve_requests_rejected_total");
-  refused_shutdown_ =
-      &config_.metrics->counter("serve_requests_refused_shutdown_total");
-  submit_errors_ = &config_.metrics->counter("serve_submit_errors_total");
+  // Every tally is a registry instrument (stats() reads them back), so the
+  // exporters and ServiceStats share one source of truth. All service-wide
+  // series exist from construction, so a fresh scrape shows them at 0.
+  obs::Registry& m = *config_.metrics;
+  submitted_ = &m.counter("serve_requests_submitted_total");
+  rejected_ = &m.counter("serve_requests_rejected_total");
+  refused_shutdown_ = &m.counter("serve_requests_refused_shutdown_total");
+  submit_errors_ = &m.counter("serve_submit_errors_total");
+  completed_ = &m.counter("serve_requests_completed_total");
+  errors_ = &m.counter("serve_requests_errors_total");
+  for (int k = 0; k < kNumRequestKinds; ++k)
+    per_kind_[k] = &m.counter("serve_requests_by_kind_total",
+                              {{"kind", kind_name(static_cast<RequestKind>(k))}});
+  rebuilds_ = make_rebuilds(m, "serve_ctx_", {});
+  queue_wait_ = &m.histogram("serve_queue_wait_us", {}, kLatencyLoUs, kLatencyHiUs, kLatencyBins);
+  service_time_ =
+      &m.histogram("serve_service_time_us", {}, kLatencyLoUs, kLatencyHiUs, kLatencyBins);
+  total_ = &m.histogram("serve_total_us", {}, kLatencyLoUs, kLatencyHiUs, kLatencyBins);
+  queue_capacity_ = &m.gauge("serve_queue_capacity");
+  queue_capacity_->add(static_cast<double>(config_.queue_capacity));
+  queue_high_water_ = &m.gauge("serve_queue_high_water");
 
   queue_ = std::make_unique<runtime::MpmcQueue<Job>>(config_.queue_capacity);
-  worker_stats_.reserve(static_cast<std::size_t>(config_.workers));
-  for (int w = 0; w < config_.workers; ++w)
-    worker_stats_.push_back(std::make_unique<WorkerStats>());
 
   // A private pool, not ThreadPool::global(): pumps occupy their worker for
   // the service's whole lifetime, which would starve the shared pool's
@@ -133,21 +147,10 @@ TranscodeService::TranscodeService(ServiceConfig config) : config_(std::move(con
   // workers as pumps every worker runs exactly one pump, and the pool
   // destructor's drain guarantee is what shutdown() leans on.
   workers_ = std::make_unique<runtime::ThreadPool>(static_cast<unsigned>(config_.workers));
-  for (const std::unique_ptr<WorkerStats>& ws : worker_stats_)
-    workers_->submit([this, stats = ws.get()] { pump(*stats); });
-
-  // Registered last: the collector snapshots stats(), which needs every
-  // member above. remove_collector in the destructor blocks until any
-  // in-flight gather() returns, so the captured `this` can never dangle
-  // even when the registry shared_ptr outlives this service.
-  metrics_collector_ = config_.metrics->add_collector(
-      [this](std::vector<obs::Sample>& out) { collect_metrics(out); });
+  for (int w = 0; w < config_.workers; ++w) workers_->submit([this] { pump(); });
 }
 
-TranscodeService::~TranscodeService() {
-  config_.metrics->remove_collector(metrics_collector_);
-  shutdown();
-}
+TranscodeService::~TranscodeService() { shutdown(); }
 
 void TranscodeService::shutdown() {
   std::lock_guard<std::mutex> lock(shutdown_mutex_);
@@ -191,7 +194,11 @@ void TranscodeService::submit_job(Job job) {
     // registry's consistency contract.
     job.tenant = config_.registry->find(job.req.tenant);
     if (!job.tenant) {
+      // No worker ever sees this request, so it is tallied here as a
+      // processed kDeepnEncode error: sum(per_kind) == completed + errors.
       submit_errors_->inc();
+      errors_->inc();
+      per_kind_[static_cast<int>(RequestKind::kDeepnEncode)]->inc();
       refuse(std::move(job), Status::kError, "unknown tenant: " + job.req.tenant);
       return;
     }
@@ -201,16 +208,20 @@ void TranscodeService::submit_job(Job job) {
   const bool accepted = config_.admission == AdmissionPolicy::kReject
                             ? queue_->try_push(job)
                             : queue_->push(job);
-  if (!accepted) {
-    // try_push fails on full or closed; push only on closed. Closed wins
-    // the tie-break so shutdown refusals are always typed kShutdown.
-    if (queue_->closed()) {
-      refused_shutdown_->inc();
-      refuse(std::move(job), Status::kShutdown, "service is shut down");
-    } else {
-      rejected_->inc();
-      refuse(std::move(job), Status::kRejected, "submission queue full");
-    }
+  if (accepted) {
+    // The queue's mark is read after this push, so it covers the occupancy
+    // the push reached; raise_to never lowers what a racing submitter set.
+    queue_high_water_->raise_to(static_cast<double>(queue_->high_water()));
+    return;
+  }
+  // try_push fails on full or closed; push only on closed. Closed wins
+  // the tie-break so shutdown refusals are always typed kShutdown.
+  if (queue_->closed()) {
+    refused_shutdown_->inc();
+    refuse(std::move(job), Status::kShutdown, "service is shut down");
+  } else {
+    rejected_->inc();
+    refuse(std::move(job), Status::kRejected, "submission queue full");
   }
 }
 
@@ -235,16 +246,16 @@ void TranscodeService::refuse(Job&& job, Status status, std::string why) {
   fulfill(std::move(job), std::move(r));
 }
 
-void TranscodeService::pump(WorkerStats& ws) {
+void TranscodeService::pump() {
   // process() takes the job by value, so a finished request is freed there,
   // after its reply went out. Were `job` reused with the last request still
   // in it, the next pop() would free that request inside the queue's
   // critical section, where submitters wait on the same mutex.
   Job job;
-  while (queue_->pop(job)) process(std::move(job), ws);
+  while (queue_->pop(job)) process(std::move(job));
 }
 
-void TranscodeService::process(Job job, WorkerStats& ws) {
+void TranscodeService::process(Job job) {
   // The pump thread's context persists across requests; its reuse counters
   // are read around this one request, so context-warmth deltas are
   // attributed exactly — to the service and to the request's tenant.
@@ -274,31 +285,40 @@ void TranscodeService::process(Job job, WorkerStats& ws) {
   resp.queue_us = us_between(job.enqueue, picked);
   resp.service_us = us_between(picked, done);
   // Stats-ordering contract: everything this request changed is visible to
-  // stats() before its future is fulfilled. The lock is uncontended in
-  // steady state — stats() is the only other party that ever takes it.
-  {
-    std::lock_guard<std::mutex> lock(ws.mutex);
-    const double total_us = us_between(job.enqueue, done);
-    ws.queue_wait.add(resp.queue_us);
-    ws.service_time.add(resp.service_us);
-    ws.total.add(total_us);
-    ws.queue_wait_max_us = std::max(ws.queue_wait_max_us, resp.queue_us);
-    ws.service_time_max_us = std::max(ws.service_time_max_us, resp.service_us);
-    ws.total_max_us = std::max(ws.total_max_us, total_us);
-    ++ws.per_kind[static_cast<int>(job.req.kind)];
-    if (resp.status == Status::kOk) ++ws.completed; else ++ws.errors;
-    const ReuseCounters& after = ctx.reuse_counters();
-    add_counters(ws.ctx, after, before);
-    if (job.tenant) {
-      WorkerStats::TenantCounters& tc = ws.tenants[job.tenant->name];
-      ++tc.requests;
-      if (resp.status == Status::kOk) ++tc.completed; else ++tc.errors;
-      add_counters(tc.ctx, after, before);
-      tc.service_time.add(resp.service_us);
-      tc.service_max_us = std::max(tc.service_max_us, resp.service_us);
-    }
+  // stats() before its future is fulfilled.
+  queue_wait_->observe(resp.queue_us);
+  service_time_->observe(resp.service_us);
+  total_->observe(us_between(job.enqueue, done));
+  per_kind_[static_cast<int>(job.req.kind)]->inc();
+  const bool ok = resp.status == Status::kOk;
+  (ok ? completed_ : errors_)->inc();
+  const ReuseCounters& after = ctx.reuse_counters();
+  add_rebuilds(rebuilds_, after, before);
+  if (job.tenant) {
+    const TenantInstruments& t = tenant_instruments(job.tenant->name);
+    t.requests->inc();
+    (ok ? t.completed : t.errors)->inc();
+    add_rebuilds(t.rebuilds, after, before);
+    t.service_time->observe(resp.service_us);
   }
   fulfill(std::move(job), std::move(resp));
+}
+
+const TranscodeService::TenantInstruments& TranscodeService::tenant_instruments(
+    const std::string& name) {
+  std::lock_guard<std::mutex> lock(tenants_mutex_);
+  auto it = tenants_.find(name);
+  if (it != tenants_.end()) return it->second;
+  obs::Registry& m = *config_.metrics;
+  const obs::Labels labels = {{"tenant", name}};
+  TenantInstruments t;
+  t.requests = &m.counter("serve_tenant_requests_total", labels);
+  t.completed = &m.counter("serve_tenant_completed_total", labels);
+  t.errors = &m.counter("serve_tenant_errors_total", labels);
+  t.rebuilds = make_rebuilds(m, "serve_tenant_ctx_", labels);
+  t.service_time = &m.histogram("serve_tenant_service_time_us", labels, kLatencyLoUs,
+                                kLatencyHiUs, kTenantLatencyBins);
+  return tenants_.emplace(name, t).first->second;
 }
 
 Response TranscodeService::run(const Request& req, const TenantEntry* tenant) {
@@ -400,123 +420,31 @@ Response TranscodeService::execute(const Request& req) {
 ServiceStats TranscodeService::stats() const {
   ServiceStats s;
   s.submitted = submitted_->value();
+  s.completed = completed_->value();
+  s.errors = errors_->value();
   s.rejected = rejected_->value();
   s.refused_shutdown = refused_shutdown_->value();
-  s.queue_capacity = queue_->capacity();
-  s.queue_high_water = queue_->high_water();
+  for (int k = 0; k < kNumRequestKinds; ++k) s.per_kind[k] = per_kind_[k]->value();
+  s.queue_capacity = static_cast<std::uint64_t>(queue_capacity_->value());
+  s.queue_high_water = static_cast<std::uint64_t>(queue_high_water_->value());
+  read_rebuilds(rebuilds_, s);
+  s.queue_wait = summarize(*queue_wait_);
+  s.service_time = summarize(*service_time_);
+  s.total = summarize(*total_);
 
-  // Unknown-tenant refusals error at submission — no worker ever sees
-  // them. Folding them into both errors and the kind tally preserves the
-  // invariant sum(per_kind) == completed + errors.
-  const std::uint64_t submit_errors = submit_errors_->value();
-  s.errors += submit_errors;
-  s.per_kind[static_cast<int>(RequestKind::kDeepnEncode)] += submit_errors;
-
-  stats::Histogram queue_wait = make_latency_histogram();
-  stats::Histogram service_time = make_latency_histogram();
-  stats::Histogram total = make_latency_histogram();
-  double queue_wait_max = 0.0, service_time_max = 0.0, total_max = 0.0;
-  struct TenantMerge {
-    TenantStats out;
-    stats::Histogram service_time = make_tenant_latency_histogram();
-    double service_max_us = 0.0;
-  };
-  std::map<std::string, TenantMerge> tenants;
-  for (const std::unique_ptr<WorkerStats>& wsp : worker_stats_) {
-    WorkerStats& ws = *wsp;
-    std::lock_guard<std::mutex> lock(ws.mutex);
-    s.completed += ws.completed;
-    s.errors += ws.errors;
-    for (int k = 0; k < kNumRequestKinds; ++k) s.per_kind[k] += ws.per_kind[k];
-    s.ctx_huffman_builds += ws.ctx.huffman_builds;
-    s.ctx_reciprocal_builds += ws.ctx.reciprocal_builds;
-    s.ctx_quality_table_builds += ws.ctx.quality_table_builds;
-    s.ctx_decoder_builds += ws.ctx.huffman_decoder_builds;
-    queue_wait.merge(ws.queue_wait);
-    service_time.merge(ws.service_time);
-    total.merge(ws.total);
-    queue_wait_max = std::max(queue_wait_max, ws.queue_wait_max_us);
-    service_time_max = std::max(service_time_max, ws.service_time_max_us);
-    total_max = std::max(total_max, ws.total_max_us);
-    for (const auto& [name, tc] : ws.tenants) {
-      TenantMerge& m = tenants[name];
-      m.out.requests += tc.requests;
-      m.out.completed += tc.completed;
-      m.out.errors += tc.errors;
-      m.out.ctx_huffman_builds += tc.ctx.huffman_builds;
-      m.out.ctx_reciprocal_builds += tc.ctx.reciprocal_builds;
-      m.out.ctx_quality_table_builds += tc.ctx.quality_table_builds;
-      m.out.ctx_decoder_builds += tc.ctx.huffman_decoder_builds;
-      m.service_time.merge(tc.service_time);
-      m.service_max_us = std::max(m.service_max_us, tc.service_max_us);
-    }
-  }
-  s.queue_wait = summarize(queue_wait, queue_wait_max);
-  s.service_time = summarize(service_time, service_time_max);
-  s.total = summarize(total, total_max);
-  s.tenants.reserve(tenants.size());
-  for (auto& [name, m] : tenants) {
-    m.out.name = name;
-    m.out.service_time = summarize(m.service_time, m.service_max_us);
-    s.tenants.push_back(std::move(m.out));
+  std::lock_guard<std::mutex> lock(tenants_mutex_);
+  s.tenants.reserve(tenants_.size());
+  for (const auto& [name, t] : tenants_) {
+    TenantStats ts;
+    ts.name = name;
+    ts.requests = t.requests->value();
+    ts.completed = t.completed->value();
+    ts.errors = t.errors->value();
+    read_rebuilds(t.rebuilds, ts);
+    ts.service_time = summarize(*t.service_time);
+    s.tenants.push_back(std::move(ts));
   }
   return s;
-}
-
-void TranscodeService::collect_metrics(std::vector<obs::Sample>& out) const {
-  // One snapshot per gather(): everything ServiceStats knows, as samples.
-  // The submission counters are owned registry instruments and are NOT
-  // re-emitted here. stats() touches worker mutexes and queue counters
-  // only — never this registry — so running under the registry mutex
-  // cannot deadlock.
-  const ServiceStats s = stats();
-  auto counter = [&out](const char* name, std::uint64_t v, obs::Labels labels = {}) {
-    out.push_back({name, std::move(labels), static_cast<double>(v),
-                   obs::SampleKind::kCounter});
-  };
-  auto gauge = [&out](const char* name, double v, obs::Labels labels = {}) {
-    out.push_back({name, std::move(labels), v, obs::SampleKind::kGauge});
-  };
-  auto latency = [&](const std::string& prefix, const LatencySummary& l,
-                     obs::Labels labels = obs::Labels{}) {
-    auto with = [&labels](const char* key, const char* value) {
-      obs::Labels ls = labels;
-      ls.emplace_back(key, value);
-      return ls;
-    };
-    counter((prefix + "_count").c_str(), l.count, labels);
-    gauge((prefix + "_us").c_str(), l.p50_us, with("quantile", "0.5"));
-    gauge((prefix + "_us").c_str(), l.p95_us, with("quantile", "0.95"));
-    gauge((prefix + "_us").c_str(), l.p99_us, with("quantile", "0.99"));
-    gauge((prefix + "_us_max").c_str(), l.max_us, labels);
-  };
-
-  counter("serve_requests_completed_total", s.completed);
-  counter("serve_requests_errors_total", s.errors);
-  for (int k = 0; k < kNumRequestKinds; ++k)
-    counter("serve_requests_by_kind_total", s.per_kind[k],
-            {{"kind", kind_name(static_cast<RequestKind>(k))}});
-  gauge("serve_queue_capacity", static_cast<double>(s.queue_capacity));
-  gauge("serve_queue_high_water", static_cast<double>(s.queue_high_water));
-  counter("serve_ctx_huffman_builds_total", s.ctx_huffman_builds);
-  counter("serve_ctx_reciprocal_builds_total", s.ctx_reciprocal_builds);
-  counter("serve_ctx_quality_table_builds_total", s.ctx_quality_table_builds);
-  counter("serve_ctx_decoder_builds_total", s.ctx_decoder_builds);
-  latency("serve_queue_wait", s.queue_wait);
-  latency("serve_service_time", s.service_time);
-  latency("serve_total", s.total);
-  for (const TenantStats& t : s.tenants) {
-    const obs::Labels tl = {{"tenant", t.name}};
-    counter("serve_tenant_requests_total", t.requests, tl);
-    counter("serve_tenant_completed_total", t.completed, tl);
-    counter("serve_tenant_errors_total", t.errors, tl);
-    counter("serve_tenant_ctx_huffman_builds_total", t.ctx_huffman_builds, tl);
-    counter("serve_tenant_ctx_reciprocal_builds_total", t.ctx_reciprocal_builds, tl);
-    counter("serve_tenant_ctx_quality_table_builds_total",
-            t.ctx_quality_table_builds, tl);
-    counter("serve_tenant_ctx_decoder_builds_total", t.ctx_decoder_builds, tl);
-    latency("serve_tenant_service_time", t.service_time, tl);
-  }
 }
 
 }  // namespace dnj::serve

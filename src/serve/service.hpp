@@ -6,8 +6,8 @@
 //               │ admission control:               │ the codec on its own thread-local
 //               │                                  │ CodecContext
 //               │   kBlock  — wait for space       │ (warm arenas, cached tables)
-//               │   kReject — typed kRejected      └─▶ per-worker latency histograms ──merge──▶ ServiceStats
-//               ▼            response, immediately
+//               │   kReject — typed kRejected      └─▶ obs::Registry instruments ◀── stats(), scrapes
+//               ▼            response, immediately      (counters, latency histograms)
 //        future<Response>
 //
 // Scheduling: one FIFO queue of `queue_capacity` requests that every
@@ -22,8 +22,9 @@
 // maps tenant names to base table pairs + encoder options. A kDeepnEncode
 // request naming a tenant pins that tenant's immutable snapshot at
 // submission — concurrent re-registration can never mix table generations
-// within a request. Per-tenant counters and service-time histograms are
-// kept for every named tenant.
+// within a request. Each named tenant gets its own counters and
+// service-time histogram, registry instruments created on its first
+// request.
 //
 // Determinism contract (extends the codec/runtime contracts to serving):
 // every response payload is bit-identical to the equivalent synchronous
@@ -44,14 +45,15 @@
 // Idempotent; the destructor calls it.
 #pragma once
 
-#include <atomic>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <future>
+#include <map>
 #include <memory>
 #include <mutex>
-#include <vector>
+#include <string>
 
 #include "jpeg/quant.hpp"
 #include "nn/layer.hpp"
@@ -106,10 +108,12 @@ struct ServiceConfig {
 
   /// Metrics registry this service publishes into. Null = the service
   /// creates a private one (reachable via metrics_registry()). Share one
-  /// registry across services/servers to scrape one unified plane. The
-  /// submission counters live *in* the registry (stats() reads them back),
-  /// and a collector snapshot of everything else is registered here — so
-  /// metrics_text() and ServiceStats can never disagree.
+  /// registry across services/servers to scrape one unified plane. Every
+  /// tally of the service lives *in* the registry as an instrument, and
+  /// stats() reads the same instruments back, so metrics_text() and
+  /// ServiceStats can never disagree. Services sharing a registry share
+  /// their serve_* series (stats() of either reads the sums), and the
+  /// series outlive the service.
   std::shared_ptr<obs::Registry> metrics;
 };
 
@@ -149,10 +153,13 @@ class TranscodeService {
   /// workers. Idempotent and safe to race with submit().
   void shutdown();
 
-  /// Point-in-time counters + merged latency quantiles. Callable at any
-  /// time, including after shutdown. Ordering contract: once a request's
-  /// future has been fulfilled, that request is reflected in every counter,
-  /// context-warmth delta and latency histogram.
+  /// Point-in-time read of the service's registry instruments: counters and
+  /// latency quantiles. Callable at any time, including after shutdown.
+  /// Ordering contract: once a request's future has been fulfilled, that
+  /// request is reflected in every counter, context-warmth delta and latency
+  /// histogram. Each instrument is read on its own, so a snapshot taken
+  /// while requests complete may count a request in some and not yet in
+  /// others.
   ServiceStats stats() const;
 
   const ServiceConfig& config() const { return config_; }
@@ -169,34 +176,53 @@ class TranscodeService {
 
  private:
   struct Job;
-  struct WorkerStats;
-  void pump(WorkerStats& ws);
-  void process(Job job, WorkerStats& ws);
+  /// Context-rebuild counters: Huffman, reciprocal, quality-table and
+  /// decoder builds, service-wide or of one tenant.
+  using RebuildCounters = std::array<obs::Counter*, 4>;
+  /// One named tenant's instruments, created on its first request.
+  struct TenantInstruments {
+    obs::Counter* requests = nullptr;
+    obs::Counter* completed = nullptr;
+    obs::Counter* errors = nullptr;
+    RebuildCounters rebuilds{};
+    obs::HistogramHandle* service_time = nullptr;
+  };
+
+  void pump();
+  void process(Job job);
   Response run(const Request& req, const TenantEntry* tenant);
   jpeg::EncoderConfig deepn_config(int quality, const TenantEntry* tenant) const;
-  void collect_metrics(std::vector<obs::Sample>& out) const;
   void submit_job(Job job);
   static void fulfill(Job&& job, Response&& resp);
   void refuse(Job&& job, Status status, std::string why);
+  const TenantInstruments& tenant_instruments(const std::string& name);
 
   ServiceConfig config_;
 
   std::unique_ptr<runtime::MpmcQueue<Job>> queue_;
-  std::vector<std::unique_ptr<WorkerStats>> worker_stats_;
   std::unique_ptr<runtime::ThreadPool> workers_;  ///< null once shut down
   std::mutex shutdown_mutex_;
   std::mutex model_mutex_;
 
-  // Submission-side counters (completion-side ones live in WorkerStats).
-  // They are obs::Registry instruments — the registry is the single source
-  // of truth; stats() reads the same counters the exporters render.
-  // Stable addresses for the registry's lifetime, cached here so the hot
-  // path is one relaxed fetch_add with no registry lookups.
+  // Every tally is an obs::Registry instrument — the registry is the single
+  // source of truth; stats() reads the same instruments the exporters
+  // render. Stable addresses for the registry's lifetime, cached here so
+  // the hot path pays no registry lookup.
   obs::Counter* submitted_ = nullptr;
   obs::Counter* rejected_ = nullptr;
   obs::Counter* refused_shutdown_ = nullptr;
   obs::Counter* submit_errors_ = nullptr;  ///< unknown-tenant refusals
-  std::uint64_t metrics_collector_ = 0;    ///< removed before members die
+  obs::Counter* completed_ = nullptr;
+  obs::Counter* errors_ = nullptr;  ///< handler errors and unknown-tenant refusals
+  obs::Counter* per_kind_[kNumRequestKinds] = {};
+  RebuildCounters rebuilds_{};
+  obs::HistogramHandle* queue_wait_ = nullptr;
+  obs::HistogramHandle* service_time_ = nullptr;
+  obs::HistogramHandle* total_ = nullptr;
+  obs::Gauge* queue_capacity_ = nullptr;
+  obs::Gauge* queue_high_water_ = nullptr;
+  mutable std::mutex tenants_mutex_;
+  std::map<std::string, TenantInstruments> tenants_;  ///< sorted, as stats() lists them
 };
 
 }  // namespace dnj::serve

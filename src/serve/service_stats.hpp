@@ -1,11 +1,12 @@
 // Latency/throughput accounting for the serving layer.
 //
-// Workers record microsecond latencies into per-worker stats::Histogram
-// instances (no cross-worker sharing on the hot path); stats() merges the
-// per-worker histograms in worker-index order — integer counts make the
-// merge order-free, the fixed order just keeps the code obviously
-// deterministic — and extracts p50/p95/p99 with the histogram's
-// interpolated streaming quantiles.
+// ServiceStats is a read-view over the service's obs::Registry instruments,
+// the one stats store: workers update counters and latency
+// obs::HistogramHandles as requests complete, the registry's exporters
+// render those instruments, and stats() reads the same ones back, taking
+// p50/p95/p99 from each handle's interpolated streaming quantiles. Services
+// sharing a registry share its serve_* series, so their stats() read the
+// sums.
 #pragma once
 
 #include <cstdint>
@@ -13,7 +14,6 @@
 #include <vector>
 
 #include "serve/request.hpp"
-#include "stats/histogram.hpp"
 
 namespace dnj::serve {
 
@@ -25,19 +25,11 @@ inline constexpr double kLatencyLoUs = 0.0;
 inline constexpr double kLatencyHiUs = 250000.0;
 inline constexpr int kLatencyBins = 25000;
 
-inline stats::Histogram make_latency_histogram() {
-  return stats::Histogram(kLatencyLoUs, kLatencyHiUs, kLatencyBins);
-}
-
 // Per-tenant histograms are 10x coarser (100 us resolution over the same
-// range): every worker keeps one per named tenant, so the service-wide
-// geometry (~200 KB a histogram) would turn "thousands of tenants" into
-// gigabytes of bins. 100 us still resolves serving-scale quantiles.
+// range): there is one per named tenant, so the service-wide geometry
+// (~200 KB a histogram) would turn "thousands of tenants" into hundreds of
+// megabytes of bins. 100 us still resolves serving-scale quantiles.
 inline constexpr int kTenantLatencyBins = 2500;
-
-inline stats::Histogram make_tenant_latency_histogram() {
-  return stats::Histogram(kLatencyLoUs, kLatencyHiUs, kTenantLatencyBins);
-}
 
 /// Quantile summary of one latency distribution, in microseconds.
 struct LatencySummary {
@@ -48,11 +40,9 @@ struct LatencySummary {
   double max_us = 0.0;  ///< exact running max, not histogram-quantized
 };
 
-LatencySummary summarize(const stats::Histogram& h, double exact_max_us);
-
 /// Counters and latency quantiles for one named registry tenant (requests
 /// carrying an empty tenant name count only in the service-wide totals).
-/// Merged across workers by stats(), sorted by name.
+/// Sorted by name in ServiceStats::tenants.
 struct TenantStats {
   std::string name;
   std::uint64_t requests = 0;   ///< processed = completed + errors
@@ -78,11 +68,11 @@ struct ServiceStats {
   std::uint64_t per_kind[kNumRequestKinds] = {};  ///< processed, by RequestKind
 
   // Queue pressure.
-  std::uint64_t queue_capacity = 0;
-  std::uint64_t queue_high_water = 0;  ///< never exceeds queue_capacity
+  std::uint64_t queue_capacity = 0;    ///< summed over services sharing the registry
+  std::uint64_t queue_high_water = 0;  ///< the fullest queue's; never exceeds queue_capacity
 
   // Context warmth (jpeg::pipeline::CodecContext::ReuseCounters deltas,
-  // taken around each request and summed over workers): rebuilds of
+  // taken around each request and summed over requests): rebuilds of
   // cached per-context state. A same-configuration stream rebuilds once
   // per worker; more means configurations interleave on a worker.
   std::uint64_t ctx_huffman_builds = 0;
@@ -95,7 +85,8 @@ struct ServiceStats {
   LatencySummary service_time;  ///< worker pickup -> completion
   LatencySummary total;         ///< submission -> completion
 
-  // Per-tenant breakdown (named registry tenants only), sorted by name.
+  // Per-tenant breakdown, sorted by name: each named registry tenant this
+  // service has processed a request of.
   std::vector<TenantStats> tenants;
 };
 

@@ -64,12 +64,4 @@ double Histogram::quantile(double p) const {
   return hi_;
 }
 
-void Histogram::merge(const Histogram& other) {
-  if (lo_ != other.lo_ || hi_ != other.hi_ || bins() != other.bins())
-    throw std::invalid_argument("Histogram::merge: geometry mismatch");
-  for (int b = 0; b < bins(); ++b)
-    counts_[static_cast<std::size_t>(b)] += other.counts_[static_cast<std::size_t>(b)];
-  total_ += other.total_;
-}
-
 }  // namespace dnj::stats

@@ -1,7 +1,7 @@
 // Fixed-range histogram used to characterize the per-band DCT coefficient
 // distributions (the paper builds "individual histograms" per frequency band
-// in Algorithm 1 before extracting sigma) and, since the serving layer, the
-// per-worker latency distributions behind the p50/p95/p99 SLO accounting.
+// in Algorithm 1 before extracting sigma) and, behind obs::HistogramHandle,
+// the serving layer's latency distributions and their p50/p95/p99.
 #pragma once
 
 #include <cstdint>
@@ -38,14 +38,6 @@ class Histogram {
   /// that saturated into the edge bins are quantified at those bins, so
   /// quantiles near 0/1 are floor/ceiling estimates when the range clipped.
   double quantile(double p) const;
-
-  /// Adds every count of `other` into this histogram. Both must share the
-  /// exact same geometry (lo, hi, bins) — throws std::invalid_argument
-  /// otherwise. Counts are integers, so merging per-worker histograms in
-  /// any order yields the same result as one combined histogram; the
-  /// serving layer merges per-worker latency histograms in worker order to
-  /// keep snapshots deterministic by construction anyway.
-  void merge(const Histogram& other);
 
  private:
   double lo_;

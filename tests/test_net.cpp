@@ -404,6 +404,8 @@ TEST(NetServer, VersionSkewGetsTypedErrorThenClose) {
   WireReply reply;
   ASSERT_TRUE(client.recv_reply(&reply, &error)) << error;
   EXPECT_EQ(reply.status, WireStatus::kVersionSkew);
+  // As for bad magic, the refusal does not echo the id (PROTOCOL.md §4).
+  EXPECT_EQ(reply.request_id, 0u);
   EXPECT_FALSE(client.recv_reply(&reply, &error));
 }
 

@@ -1,6 +1,6 @@
 // Observability-plane tests (src/obs): tracer sampling and span parenting,
-// ring-buffer wrap, the metrics registry's instrument identity and
-// collector lifecycle, HistogramHandle edge cases under merge, and the
+// ring-buffer wrap, the metrics registry's instrument identity,
+// HistogramHandle edge cases, Gauge::raise_to under racing writers, and the
 // exact Prometheus text rules (label escaping, TYPE lines) foreign
 // scrapers depend on.
 //
@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -188,27 +187,27 @@ TEST(HistogramHandle, SingleBucketKeepsExactSumAndMax) {
   EXPECT_LE(q, 10.0);
 }
 
-TEST(HistogramHandle, MismatchedGeometryMergeThrowsAndMutatesNothing) {
-  HistogramHandle h(0.0, 100.0, 10);
-  h.observe(50.0);
-  stats::Histogram other(0.0, 100.0, 20);  // different bin count
-  other.add(10.0);
-  EXPECT_THROW(h.merge_from(other), std::invalid_argument);
-  EXPECT_EQ(h.count(), 1u);
-  EXPECT_DOUBLE_EQ(h.sum(), 50.0);
-  EXPECT_DOUBLE_EQ(h.max(), 50.0);
-}
+TEST(Gauge, RaiseToEndsAtTheMaximumUnderRacingWriters) {
+  // Four threads raise one gauge to interleaved values, as submitters
+  // publish a queue's high-water mark: whatever the interleaving, a lower
+  // value never overwrites a higher one, so the gauge ends at the maximum.
+  Gauge g;
+  constexpr int kThreads = 4;
+  constexpr int kSteps = 5000;
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t)
+    writers.emplace_back([&g, t] {
+      for (int i = 0; i < kSteps; ++i) {
+        g.raise_to(static_cast<double>(i * kThreads + t));
+        g.raise_to(static_cast<double>(t));  // a stale, lower reading
+      }
+    });
+  for (std::thread& w : writers) w.join();
+  const double max = static_cast<double>(kSteps * kThreads - 1);  // the last step's largest
+  EXPECT_EQ(g.value(), max);
 
-TEST(HistogramHandle, CompatibleMergeAddsCountsAndEstimates) {
-  HistogramHandle h(0.0, 100.0, 10);
-  h.observe(5.0);
-  stats::Histogram other(0.0, 100.0, 10);
-  other.add(95.0);
-  other.add(95.0);
-  h.merge_from(other);
-  EXPECT_EQ(h.count(), 3u);
-  EXPECT_DOUBLE_EQ(h.sum(), 5.0 + 2 * 95.0);  // bin centre of [90,100) is 95
-  EXPECT_DOUBLE_EQ(h.max(), 100.0);           // right edge estimate
+  g.raise_to(1.0);  // lower than the mark: ignored
+  EXPECT_EQ(g.value(), max);
 }
 
 TEST(Registry, SameNameAndLabelsResolveToTheSameInstrument) {
@@ -221,20 +220,6 @@ TEST(Registry, SameNameAndLabelsResolveToTheSameInstrument) {
   a.inc(3);
   EXPECT_EQ(b.value(), 3u);
   EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(Registry, CollectorsAppearUntilRemoved) {
-  Registry reg;
-  const std::uint64_t id = reg.add_collector([](std::vector<Sample>& out) {
-    Sample s;
-    s.name = "from_collector";
-    s.value = 7.0;
-    s.kind = SampleKind::kCounter;
-    out.push_back(std::move(s));
-  });
-  EXPECT_NE(reg.render_prometheus().find("from_collector 7"), std::string::npos);
-  reg.remove_collector(id);
-  EXPECT_EQ(reg.render_prometheus().find("from_collector"), std::string::npos);
 }
 
 TEST(Registry, PrometheusEscapesLabelValues) {

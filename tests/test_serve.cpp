@@ -12,6 +12,9 @@
 
 #include <atomic>
 #include <future>
+#include <map>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -160,6 +163,25 @@ void expect_payload_equal(const Response& got, const Response& want, std::size_t
   EXPECT_EQ(got.probs, want.probs) << "request " << idx;
 }
 
+/// The sample lines of a Prometheus text scrape as ("name{labels}", value),
+/// in scrape order. Values never contain a space, so the last one splits.
+std::vector<std::pair<std::string, double>> scrape_samples(const obs::Registry& metrics) {
+  std::vector<std::pair<std::string, double>> out;
+  std::istringstream in(metrics.render_prometheus());
+  for (std::string line; std::getline(in, line);) {
+    if (line.empty() || line[0] == '#') continue;
+    const std::size_t space = line.rfind(' ');
+    out.emplace_back(line.substr(0, space), std::stod(line.substr(space + 1)));
+  }
+  return out;
+}
+
+/// One scrape as a lookup table; a repeated series keeps its first value.
+std::map<std::string, double> scrape_values(const obs::Registry& metrics) {
+  const std::vector<std::pair<std::string, double>> samples = scrape_samples(metrics);
+  return {samples.begin(), samples.end()};
+}
+
 TEST(TranscodeService, ByteIdenticalToSynchronousCalls) {
   const jpeg::QuantTable deepn_luma = jpeg::QuantTable::annex_k_luma();
   const jpeg::QuantTable deepn_chroma = jpeg::QuantTable::uniform(24);
@@ -254,6 +276,9 @@ TEST(TranscodeService, RejectAdmissionUsesTheWholeQueueForOneConfig) {
     EXPECT_TRUE(r.status == Status::kOk || r.status == Status::kRejected) << r.error;
   }
   EXPECT_EQ(service.stats().queue_high_water, 8u);
+  // Submitters push the mark into the registry gauge the scrape renders.
+  EXPECT_EQ(scrape_values(*service.metrics_registry()).at("serve_queue_high_water"),
+            static_cast<double>(service.stats().queue_high_water));
 }
 
 TEST(TranscodeService, BlockPolicyServesEverythingThroughTinyQueue) {
@@ -568,6 +593,98 @@ TEST(TranscodeService, PerTenantStatsAreAttributed) {
   EXPECT_EQ(st.tenants[0].errors, 0u);
   EXPECT_EQ(st.tenants[0].service_time.count, 6u);
   EXPECT_EQ(st.tenants[1].service_time.count, 3u);
+}
+
+TEST(TranscodeService, ServicesSharingARegistryKeepOneBook) {
+  // Two services publishing into one registry share its serve_* series:
+  // each series renders once, holding the sum over both services, and
+  // either service's stats() reads that same sum.
+  auto metrics = std::make_shared<obs::Registry>();
+  ServiceConfig cfg;
+  cfg.workers = 1;
+  cfg.metrics = metrics;
+  TranscodeService a(cfg);
+  TranscodeService b(cfg);
+
+  const image::Image img = gray_corpus(1).samples[0].image;
+  std::vector<std::future<Response>> futures;
+  for (int i = 0; i < 3; ++i) futures.push_back(a.submit(encode_request(img, config_a())));
+  for (int i = 0; i < 2; ++i) futures.push_back(b.submit(encode_request(img, config_a())));
+  for (std::future<Response>& f : futures) ASSERT_EQ(f.get().status, Status::kOk);
+
+  std::map<std::string, int> renders;
+  for (const auto& [series, value] : scrape_samples(*metrics)) ++renders[series];
+  for (const auto& [series, n] : renders) EXPECT_EQ(n, 1) << series << " renders " << n << " times";
+  EXPECT_EQ(scrape_values(*metrics).at("serve_requests_completed_total"), 5.0);
+  for (const TranscodeService* service : {&a, &b}) {
+    const ServiceStats st = service->stats();
+    EXPECT_EQ(st.submitted, 5u);
+    EXPECT_EQ(st.completed, 5u);
+  }
+}
+
+TEST(TranscodeService, StatsReadTheScrapedInstruments) {
+  // After a mixed run with a tenant, a handler error and an unknown-tenant
+  // refusal, stats() and the scrape read the same numbers.
+  auto registry = std::make_shared<TableRegistry>();
+  registry->put("alpha", tenant_base(20));
+  ServiceConfig cfg;
+  cfg.workers = 2;
+  cfg.registry = registry;
+  TranscodeService service(cfg);
+
+  const image::Image img = gray_corpus(1).samples[0].image;
+  const std::vector<std::uint8_t> stored = jpeg::encode(img, config_a());
+  std::vector<Request> requests = {encode_request(img, config_a()),
+                                   encode_request(rgb_image(), config_b()),
+                                   tenant_request(img, "alpha", 40),
+                                   tenant_request(img, "nobody", 40)};
+  Request decode;
+  decode.kind = RequestKind::kDecode;
+  decode.bytes = stored;
+  requests.push_back(decode);
+  decode.bytes = {0x00, 0x01, 0x02, 0x03};  // not a JPEG: a handler error
+  requests.push_back(decode);
+  Request transcode;
+  transcode.kind = RequestKind::kTranscode;
+  transcode.bytes = stored;
+  transcode.config = config_b();
+  requests.push_back(transcode);
+  Request deepn;
+  deepn.kind = RequestKind::kDeepnEncode;
+  deepn.image = img;
+  deepn.quality = 50;
+  requests.push_back(deepn);
+  std::vector<std::future<Response>> futures;
+  for (const Request& r : requests) futures.push_back(service.submit(r));
+  for (std::future<Response>& f : futures) f.get();
+
+  const ServiceStats st = service.stats();
+  ASSERT_EQ(st.errors, 2u);
+  ASSERT_EQ(st.completed, requests.size() - 2);
+  const std::map<std::string, double> scraped = scrape_values(*service.metrics_registry());
+  const auto expect_scraped = [&scraped](const std::string& series, std::uint64_t want) {
+    const auto it = scraped.find(series);
+    ASSERT_TRUE(it != scraped.end()) << series << " is not in the scrape";
+    EXPECT_EQ(it->second, static_cast<double>(want)) << series;
+  };
+  expect_scraped("serve_requests_completed_total", st.completed);
+  expect_scraped("serve_requests_errors_total", st.errors);
+  for (int k = 0; k < kNumRequestKinds; ++k)
+    expect_scraped(std::string("serve_requests_by_kind_total{kind=\"") +
+                       kind_name(static_cast<RequestKind>(k)) + "\"}",
+                   st.per_kind[k]);
+  expect_scraped("serve_ctx_huffman_builds_total", st.ctx_huffman_builds);
+  expect_scraped("serve_ctx_reciprocal_builds_total", st.ctx_reciprocal_builds);
+  expect_scraped("serve_ctx_quality_table_builds_total", st.ctx_quality_table_builds);
+  expect_scraped("serve_ctx_decoder_builds_total", st.ctx_decoder_builds);
+  expect_scraped("serve_queue_wait_us_count", st.queue_wait.count);
+  expect_scraped("serve_service_time_us_count", st.service_time.count);
+  expect_scraped("serve_total_us_count", st.total.count);
+  ASSERT_EQ(st.tenants.size(), 1u);
+  expect_scraped("serve_tenant_requests_total{tenant=\"alpha\"}", st.tenants[0].requests);
+  expect_scraped("serve_tenant_service_time_us_count{tenant=\"alpha\"}",
+                 st.tenants[0].service_time.count);
 }
 
 TEST(TranscodeService, ConcurrentSubmittersGetSynchronousBytes) {

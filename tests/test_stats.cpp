@@ -136,40 +136,6 @@ TEST(Histogram, QuantileOfEmptyIsLo) {
   EXPECT_DOUBLE_EQ(h.quantile(0.5), 5.0);
 }
 
-TEST(Histogram, MergeMatchesCombinedFill) {
-  // Per-worker histograms merged in any order must equal one histogram
-  // that saw every sample — the property the serving layer's stats
-  // snapshot relies on.
-  std::mt19937_64 rng(7);
-  std::uniform_real_distribution<double> dist(-5.0, 105.0);  // exercises edge bins
-  Histogram all(0.0, 100.0, 50);
-  Histogram parts[3] = {Histogram(0.0, 100.0, 50), Histogram(0.0, 100.0, 50),
-                        Histogram(0.0, 100.0, 50)};
-  for (int i = 0; i < 3000; ++i) {
-    const double v = dist(rng);
-    all.add(v);
-    parts[i % 3].add(v);
-  }
-  Histogram merged(0.0, 100.0, 50);
-  merged.merge(parts[2]);  // deliberately out of order: counts commute
-  merged.merge(parts[0]);
-  merged.merge(parts[1]);
-  ASSERT_EQ(merged.total(), all.total());
-  for (int b = 0; b < all.bins(); ++b) EXPECT_EQ(merged.count(b), all.count(b));
-  for (double p : {0.0, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0})
-    EXPECT_DOUBLE_EQ(merged.quantile(p), all.quantile(p));
-}
-
-TEST(Histogram, MergeRejectsGeometryMismatch) {
-  Histogram a(0.0, 100.0, 50);
-  Histogram bins(0.0, 100.0, 51);
-  Histogram lo(1.0, 100.0, 50);
-  Histogram hi(0.0, 99.0, 50);
-  EXPECT_THROW(a.merge(bins), std::invalid_argument);
-  EXPECT_THROW(a.merge(lo), std::invalid_argument);
-  EXPECT_THROW(a.merge(hi), std::invalid_argument);
-}
-
 TEST(LaplaceFit, MleRecoversScale) {
   std::mt19937_64 rng(42);
   std::exponential_distribution<double> expd(1.0 / 3.0);  // |Laplace(b=3)|
